@@ -1,36 +1,5 @@
-"""Performance-benchmark subsystem (``repro bench``).
+"""Golden determinism gate: see :mod:`repro.bench.harness`.
 
-Times canonical single-scenario, multi-tenant and sweep workloads on the
-simulation core (wall-clock and simulator events/second), writes a
-``BENCH_*.json`` report, and verifies that ``--save-summaries`` output for
-the committed example scenarios is byte-identical to the golden files in
-``benchmarks/goldens/`` — the regression gate for both speed and
-determinism.
+Timing lives in ``perfbench/``, which imports ``check_goldens`` from
+``repro.bench.harness`` for its correctness gate.
 """
-
-from .harness import (
-    BENCH_SCHEMA,
-    GOLDEN_SCENARIOS,
-    BenchResult,
-    WorkloadResult,
-    check_goldens,
-    format_table,
-    run_bench,
-    run_workload,
-    write_report,
-)
-from .workloads import BenchWorkload, bench_workloads
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "GOLDEN_SCENARIOS",
-    "BenchResult",
-    "BenchWorkload",
-    "WorkloadResult",
-    "bench_workloads",
-    "check_goldens",
-    "format_table",
-    "run_bench",
-    "run_workload",
-    "write_report",
-]

@@ -1,36 +1,19 @@
-"""Timing, reporting and determinism checks for ``repro bench``.
+"""The golden determinism gate for the committed example scenarios.
 
-The harness runs each canonical workload ``repeats`` times and keeps the
-best wall-clock (the usual micro-benchmark discipline: the minimum is the
-least-noisy estimate of the true cost on a shared machine), derives
-events/second from the simulator's own processed-event counter, and
-assembles one JSON-serializable report.  The *macro* number — the sum of
-best wall times — is what speedup claims quote.
-
-Determinism is part of the benchmark contract: ``check_goldens`` replays
-the committed example scenario files serially and byte-compares their
-``--save-summaries`` output with the golden files under
-``benchmarks/goldens/``.  A divergence fails the bench (exit code), so a
-performance "win" that changes results can never land silently.
+``check_goldens`` replays the committed example scenario files serially
+and byte-compares their ``--save-summaries`` output with the golden files
+under ``benchmarks/goldens/``.  A performance "win" that changes results
+therefore shows up as a ``"mismatch"``: ``perfbench`` counts every
+non-``"ok"`` entry as a failed operation, and
+``tests/experiments/test_goldens.py`` pins the same bytes in the test
+suite.
 """
 
 from __future__ import annotations
 
-import cProfile
-import io
-import json
-import platform
-import pstats
-import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .workloads import BenchWorkload, bench_workloads
-
-#: Bump when the report shape changes.
-BENCH_SCHEMA = 1
-
-#: Scenario files (under --scenarios) with committed golden summaries.
+#: Scenario files (under ``examples/scenarios``) with committed golden summaries.
 GOLDEN_SCENARIOS = (
     "burst_failure",
     "diamond_merge",
@@ -39,70 +22,6 @@ GOLDEN_SCENARIOS = (
     "llm_serving",
     "shared_cluster",
 )
-
-
-@dataclass
-class WorkloadResult:
-    """Timing of one workload: best-of-``runs`` wall clock."""
-
-    name: str
-    kind: str
-    cells: int
-    runs: int
-    wall_s: float  # best run
-    events: int  # simulator events per run (identical across runs)
-    requests: int
-    events_per_sec: float
-
-
-@dataclass
-class BenchResult:
-    """The full bench report (serialized to ``BENCH_*.json``)."""
-
-    schema: int
-    quick: bool
-    repeats: int
-    python: str
-    workloads: list[WorkloadResult] = field(default_factory=list)
-    macro_wall_s: float = 0.0
-    determinism: dict[str, str] = field(default_factory=dict)
-    baseline_macro_wall_s: float | None = None
-    speedup: float | None = None
-
-    @property
-    def deterministic(self) -> bool:
-        return all(v == "ok" for v in self.determinism.values())
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.baseline_macro_wall_s is None:
-            out.pop("baseline_macro_wall_s")
-            out.pop("speedup")
-        return out
-
-
-def run_workload(workload: BenchWorkload, repeats: int) -> WorkloadResult:
-    """Best-of-``repeats`` timing of one workload."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    best = float("inf")
-    events = requests = 0
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        events, requests = workload.run()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
-    return WorkloadResult(
-        name=workload.name,
-        kind=workload.kind,
-        cells=workload.cells,
-        runs=repeats,
-        wall_s=round(best, 4),
-        events=events,
-        requests=requests,
-        events_per_sec=round(events / best, 1) if best > 0 else 0.0,
-    )
 
 
 def check_goldens(
@@ -133,90 +52,3 @@ def check_goldens(
         text = summaries_text(results)
         out[stem] = "ok" if text == golden_path.read_text() else "mismatch"
     return out
-
-
-def run_bench(
-    quick: bool = False,
-    repeats: int | None = None,
-    profile_top: int = 0,
-    scenarios_dir: str | Path | None = "examples/scenarios",
-    goldens_dir: str | Path | None = "benchmarks/goldens",
-    baseline: dict | None = None,
-) -> tuple[BenchResult, str | None]:
-    """Run the macro benchmark; returns (report, profile text or None).
-
-    ``repeats`` defaults to 3 (1 under ``--quick``).  ``profile_top > 0``
-    additionally runs one profiled pass over every workload and returns
-    the top-N cumulative-time report.  ``scenarios_dir``/``goldens_dir``
-    locate the determinism check; pass ``None`` to skip it.  ``baseline``
-    is a previously written report dict — its macro wall time yields the
-    ``speedup`` field.
-    """
-    if repeats is None:
-        repeats = 1 if quick else 3
-    result = BenchResult(
-        schema=BENCH_SCHEMA,
-        quick=quick,
-        repeats=repeats,
-        python=platform.python_version(),
-    )
-    for workload in bench_workloads(quick):
-        result.workloads.append(run_workload(workload, repeats))
-    result.macro_wall_s = round(sum(w.wall_s for w in result.workloads), 4)
-
-    profile_text: str | None = None
-    if profile_top > 0:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        for workload in bench_workloads(quick):
-            workload.run()
-        profiler.disable()
-        buf = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buf)
-        stats.sort_stats("cumulative").print_stats(profile_top)
-        profile_text = buf.getvalue()
-
-    if scenarios_dir is not None and goldens_dir is not None:
-        result.determinism = check_goldens(scenarios_dir, goldens_dir)
-
-    if baseline is not None:
-        base_macro = baseline.get("macro_wall_s")
-        if baseline.get("quick", False) != quick:
-            raise ValueError(
-                "baseline was measured at a different fidelity "
-                f"(quick={baseline.get('quick')}); rerun with matching mode"
-            )
-        if isinstance(base_macro, (int, float)) and result.macro_wall_s > 0:
-            result.baseline_macro_wall_s = float(base_macro)
-            result.speedup = round(base_macro / result.macro_wall_s, 2)
-    return result, profile_text
-
-
-def write_report(result: BenchResult, path: str | Path) -> None:
-    """Write the report JSON (stable key order, trailing newline)."""
-    Path(path).write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-
-
-def format_table(result: BenchResult) -> str:
-    """Human-readable summary printed by the CLI."""
-    lines = [
-        f"{'workload':<14} {'cells':>5} {'runs':>4} {'best wall':>10} "
-        f"{'events':>9} {'events/s':>10}"
-    ]
-    for w in result.workloads:
-        lines.append(
-            f"{w.name:<14} {w.cells:>5} {w.runs:>4} {w.wall_s:>9.3f}s "
-            f"{w.events:>9} {w.events_per_sec:>10.0f}"
-        )
-    lines.append(f"{'macro':<14} {'':>5} {'':>4} {result.macro_wall_s:>9.3f}s")
-    if result.speedup is not None:
-        lines.append(
-            f"speedup vs baseline ({result.baseline_macro_wall_s:.3f}s): "
-            f"{result.speedup:.2f}x"
-        )
-    if result.determinism:
-        status = ", ".join(f"{k}={v}" for k, v in result.determinism.items())
-        lines.append(f"determinism: {status}")
-    return "\n".join(lines)

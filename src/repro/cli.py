@@ -8,8 +8,10 @@ Examples::
     python -m repro scenario run --file scenario.json
     python -m repro scenario sweep --file scenario.json --policies PARD,Naive \
         --seeds 0,1,2 --workers 4
-    python -m repro bench --quick
     python -m repro list
+
+Timing is not a CLI verb: the benchmark is ``python3 perfbench/run.py``
+(see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .experiments.sweep import (
     summary_table,
     sweep_grid,
 )
+from .interfaces import DropPolicy
 from .metrics.export import Artifact, multi_result_tables, scenario_result_tables
 from .metrics.report import (
     comparison_table,
@@ -56,7 +59,6 @@ from .metrics.report import (
 from .pipeline.applications import get_application, known_applications
 from .pipeline.llm_profiles import is_llm_application
 from .policies.ablations import ABLATIONS
-from .policies.base import DropPolicy
 from .policies.registry import ADMISSIONS, POLICIES, known_admissions
 from .workload.generators import known_traces
 
@@ -420,44 +422,6 @@ def cmd_scenario_sweep(args: argparse.Namespace) -> int:
     return _run_cells(scenario_cells(grid), args)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import format_table, run_bench, write_report
-
-    baseline = None
-    if args.baseline:
-        import json
-        from pathlib import Path
-
-        try:
-            baseline = json.loads(Path(args.baseline).read_text())
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read baseline {args.baseline}: {exc}") from None
-    scenarios_dir = None if args.no_determinism else args.scenarios
-    goldens_dir = None if args.no_determinism else args.goldens
-    try:
-        result, profile_text = run_bench(
-            quick=args.quick,
-            repeats=args.repeats,
-            profile_top=args.profile,
-            scenarios_dir=scenarios_dir,
-            goldens_dir=goldens_dir,
-            baseline=baseline,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
-    if profile_text:
-        print(profile_text)
-    print(format_table(result))
-    if args.out:
-        write_report(result, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
-    if not result.deterministic:
-        bad = {k: v for k, v in result.determinism.items() if v != "ok"}
-        print(f"determinism check FAILED: {bad}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_merge(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -637,32 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: artifacts/)",
     )
     p_study_run.set_defaults(fn=cmd_study_run)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="time the canonical simulation workloads and verify the "
-             "golden determinism fingerprints",
-    )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="scaled-down workloads, one run each (CI mode)")
-    p_bench.add_argument("--repeats", type=int, default=None,
-                         help="timed runs per workload, best kept "
-                              "(default: 3, or 1 with --quick)")
-    p_bench.add_argument("--profile", type=int, default=0, metavar="N",
-                         help="also cProfile one pass and print the top N "
-                              "functions by cumulative time")
-    p_bench.add_argument("--out", default="BENCH_10.json", metavar="PATH",
-                         help="write the JSON report here (default: "
-                              "BENCH_10.json; empty string to skip)")
-    p_bench.add_argument("--baseline", default=None, metavar="PATH",
-                         help="earlier report to compute the speedup against")
-    p_bench.add_argument("--scenarios", default="examples/scenarios",
-                         help="scenario files for the determinism check")
-    p_bench.add_argument("--goldens", default="benchmarks/goldens",
-                         help="committed golden summaries directory")
-    p_bench.add_argument("--no-determinism", action="store_true",
-                         help="skip the golden-fingerprint determinism check")
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_merge = sub.add_parser(
         "merge",

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
+from ..interfaces import DropPolicy
 from ..metrics.analysis import Summary, merge_collectors, summarize
 from ..metrics.collector import MetricsCollector
 from ..metrics.goodput import GoodputReport, GoodputSpec, goodput_report
 from ..pipeline.applications import Application, get_application
 from ..pipeline.profiles import DEFAULT_PROFILES, ProfileRegistry
-from ..policies.base import DropPolicy
 from ..policies.registry import make_admission, make_policy
 from ..policies.spec import PolicySpec
 from ..simulation.batching import plan_batch_sizes, provision_workers

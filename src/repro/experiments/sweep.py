@@ -34,7 +34,6 @@ import hashlib
 import json
 import os
 import pickle
-import shutil
 import tempfile
 import time
 import traceback
@@ -317,24 +316,7 @@ class SweepCache:
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
-        self.base = Path(root)
-        self.root = self.base / _source_digest()[:16]
-
-    def prune_stale(self) -> None:
-        """Drop subdirectories written by source trees other than ours.
-
-        Kept for callers that want the old eager reclamation; the cache no
-        longer runs this on construction (see the class docstring).
-        """
-        if not self.base.is_dir():
-            return
-        for entry in self.base.iterdir():
-            # Only touch dirs that look like our digest buckets; anything
-            # else in the cache dir is not ours to delete.
-            if (entry.is_dir() and entry != self.root
-                    and len(entry.name) == 16
-                    and all(c in "0123456789abcdef" for c in entry.name)):
-                shutil.rmtree(entry, ignore_errors=True)
+        self.root = Path(root) / _source_digest()[:16]
 
     def _path(self, fingerprint: str) -> Path:
         return self.root / f"{fingerprint}.pkl"
@@ -710,8 +692,9 @@ def summaries_text(
     """The canonical on-disk serialization of :func:`summaries_payload`.
 
     Single-sourced so ``--save-summaries`` files, the committed golden
-    fingerprints and ``repro bench``'s determinism check can never drift
-    apart on formatting.  With ``indices`` this writes the shard form
+    fingerprints and the golden determinism gate
+    (:func:`repro.bench.harness.check_goldens`) can never drift apart on
+    formatting.  With ``indices`` this writes the shard form
     that :func:`merge_summaries` accepts.
     """
     payload = summaries_payload(results, indices=indices)

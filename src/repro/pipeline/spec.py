@@ -38,12 +38,11 @@ so a later join is never over- or under-counted.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -89,12 +88,13 @@ class PipelineSpec:
         self._by_id = {m.id: m for m in self.modules}
         if len(self._by_id) != len(self.modules):
             raise ValueError(f"duplicate module ids in pipeline {self.name!r}")
-        self._graph = nx.DiGraph()
-        self._graph.add_nodes_from(self._by_id)
+        # Declared edges by source, in declaration order (the order the
+        # mirror check below reports the first inconsistent edge in).
+        succ: dict[str, dict[str, None]] = {mid: {} for mid in self._by_id}
         for m in self.modules:
-            # Duplicate edge declarations would be silently deduplicated by
-            # the graph but double-delivered by the request flow — a join
-            # double-fire waiting to happen.  Reject them up front.
+            # Duplicate edge declarations would be double-delivered by the
+            # request flow — a join double-fire waiting to happen.  Reject
+            # them up front.
             if len(set(m.pres)) != len(m.pres):
                 raise ValueError(
                     f"module {m.id!r} declares duplicate predecessor edges: "
@@ -108,16 +108,17 @@ class PipelineSpec:
             for p in m.pres:
                 if p not in self._by_id:
                     raise ValueError(f"module {m.id!r} references unknown pre {p!r}")
-                self._graph.add_edge(p, m.id)
+                succ[p][m.id] = None
             for s in m.subs:
                 if s not in self._by_id:
                     raise ValueError(f"module {m.id!r} references unknown sub {s!r}")
-                self._graph.add_edge(m.id, s)
-        for a, b in self._graph.edges:
-            if b not in self._by_id[a].subs or a not in self._by_id[b].pres:
-                raise ValueError(
-                    f"inconsistent edge {a!r}->{b!r}: pres/subs must mirror each other"
-                )
+                succ[m.id][s] = None
+        for a, targets in succ.items():
+            for b in targets:
+                if b not in self._by_id[a].subs or a not in self._by_id[b].pres:
+                    raise ValueError(
+                        f"inconsistent edge {a!r}->{b!r}: pres/subs must mirror each other"
+                    )
         # Modules no entry can reach would never receive a token and any
         # join depending on them would hang the simulation — diagnose the
         # malformation here, by name, instead.  (Checked before acyclicity
@@ -144,28 +145,50 @@ class PipelineSpec:
                     f"pipeline {self.name!r} has modules unreachable from "
                     f"any entry: {unreachable}"
                 )
-        if not nx.is_directed_acyclic_graph(self._graph):
+        # Kahn's algorithm, always popping the smallest ready id: the
+        # deterministic lexicographic topological order.  Ids it never pops
+        # lie on a cycle or downstream of one.
+        pending = {m.id: len(m.pres) for m in self.modules}
+        ready = [mid for mid, n in pending.items() if n == 0]
+        heapq.heapify(ready)
+        topo: list[str] = []
+        while ready:
+            mid = heapq.heappop(ready)
+            topo.append(mid)
+            for s in self._by_id[mid].subs:
+                pending[s] -= 1
+                if pending[s] == 0:
+                    heapq.heappush(ready, s)
+        if len(topo) < len(self.modules):
             raise ValueError(f"pipeline {self.name!r} contains a cycle")
-        if self.modules and not nx.is_weakly_connected(self._graph):
-            raise ValueError(f"pipeline {self.name!r} is not connected")
+        if self.modules:
+            # Weak connectivity: walk edges in both directions.
+            seen = {self.modules[0].id}
+            frontier = [self.modules[0].id]
+            while frontier:
+                m = self._by_id[frontier.pop()]
+                for other in (*m.pres, *m.subs):
+                    if other not in seen:
+                        seen.add(other)
+                        frontier.append(other)
+            if len(seen) < len(self.modules):
+                raise ValueError(f"pipeline {self.name!r} is not connected")
         self._paths_cache: dict[str, list[list[str]]] = {}
-        self._freeze_structure()
+        self._freeze_structure(tuple(topo))
 
-    def _freeze_structure(self) -> None:
+    def _freeze_structure(self, topo: tuple[str, ...]) -> None:
         """Precompute the DAG views consumed on the per-request hot path.
 
         The spec is immutable after validation, so topological order,
         declaration indices, per-module descendant sets and the token-flow
         tables (per-(fork, branch) :class:`KillPlan`, per-module death
         plans, in-degrees) are all computed exactly once here instead of
-        re-deriving them (via ``nx.descendants`` + a full sort) on every
+        re-deriving them (via a graph traversal + a full sort) on every
         fork passage or budget lookup.
         """
         self._ids: tuple[str, ...] = tuple(m.id for m in self.modules)
         self._index: dict[str, int] = {mid: i for i, mid in enumerate(self._ids)}
-        self._topo: tuple[str, ...] = tuple(
-            nx.lexicographical_topological_sort(self._graph)
-        )
+        self._topo: tuple[str, ...] = topo
         topo_index = {mid: i for i, mid in enumerate(self._topo)}
         self._chain: bool = all(
             len(m.pres) <= 1 and len(m.subs) <= 1 for m in self.modules

@@ -1,7 +1,7 @@
 """Serving policies: baselines, Table-1 ablations and fairness policies."""
 
+from ..interfaces import DropContext, DropPolicy, FifoQueue, RequestQueue
 from .ablations import ABLATIONS, make_ablation
-from .base import DropContext, DropPolicy, FifoQueue, RequestQueue
 from .clipper import ClipperPlusPlusPolicy
 from .fairness import AdmissionPolicy, TokenBucketPolicy, WeightedFairDropPolicy
 from .naive import NaivePolicy

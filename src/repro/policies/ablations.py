@@ -26,7 +26,7 @@ from ..core.broker import SubMode
 from ..core.policy import BudgetMode, PardPolicy
 from ..core.priority import PriorityMode
 from ..core.state_planner import WaitMode
-from .base import DropPolicy
+from ..interfaces import DropPolicy
 from .overload_control import OverloadControlPolicy
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from ..interfaces import DropPolicy
 from .ablations import ABLATIONS
-from .base import DropPolicy
 from .clipper import ClipperPlusPlusPolicy
 from .naive import NaivePolicy
 from .nexus import NexusPolicy

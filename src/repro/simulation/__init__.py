@@ -2,7 +2,7 @@
 
 from .batching import plan_batch_sizes, provision_workers, slo_split
 from .cluster import Cluster
-from .dispatcher import LeastLoadedDispatcher, RoundRobinDispatcher
+from .dispatcher import LeastLoadedDispatcher
 from .engine import EventHandle, Simulator
 from .failures import FailureEvent, FailureInjector
 from .module import Module
@@ -51,7 +51,6 @@ __all__ = [
     "Request",
     "RequestStatus",
     "RngStreams",
-    "RoundRobinDispatcher",
     "ScalingEvent",
     "Simulator",
     "WindowedSamples",

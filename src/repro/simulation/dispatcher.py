@@ -2,22 +2,13 @@
 
 from __future__ import annotations
 
-import abc
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .worker import Worker
 
 
-class Dispatcher(abc.ABC):
-    """Chooses which worker receives the next request."""
-
-    @abc.abstractmethod
-    def pick(self, workers: list["Worker"]) -> "Worker":
-        """Select a worker from a non-empty list of candidates."""
-
-
-class LeastLoadedDispatcher(Dispatcher):
+class LeastLoadedDispatcher:
     """Send each request to the worker with the fewest outstanding requests.
 
     Ties break on worker id, which keeps runs deterministic.
@@ -39,18 +30,3 @@ class LeastLoadedDispatcher(Dispatcher):
                 best = w
                 best_load = load
         return best
-
-
-class RoundRobinDispatcher(Dispatcher):
-    """Cycle through workers in id order."""
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def pick(self, workers: list["Worker"]) -> "Worker":
-        if not workers:
-            raise ValueError("no workers available to dispatch to")
-        ordered = sorted(workers, key=lambda w: w.worker_id)
-        worker = ordered[self._next % len(ordered)]
-        self._next += 1
-        return worker

@@ -14,7 +14,7 @@ from ..interfaces import DropPolicy
 from ..pipeline.llm_profiles import LLMProfile
 from ..pipeline.profiles import ModelProfile
 from ..pipeline.spec import ModuleSpec
-from .dispatcher import Dispatcher, LeastLoadedDispatcher
+from .dispatcher import LeastLoadedDispatcher
 from .llm import LLMWorker
 from .request import Request, RequestStatus
 from .stats import ModuleStats
@@ -34,7 +34,6 @@ class Module:
         profile: ModelProfile,
         target_batch: int,
         n_workers: int,
-        dispatcher: Dispatcher | None = None,
         stats_window: float = 5.0,
     ) -> None:
         if n_workers < 1:
@@ -46,7 +45,7 @@ class Module:
         self.spec = spec
         self.profile = profile
         self.target_batch = min(target_batch, profile.max_batch)
-        self.dispatcher = dispatcher or LeastLoadedDispatcher()
+        self.dispatcher = LeastLoadedDispatcher()
         self.stats = ModuleStats(window=stats_window)
         self._next_worker_id = 0
         self._effective_cache: tuple[float, int, float] = (-1.0, 0, 0.0)

@@ -8,8 +8,7 @@ from repro.core.broker import RequestBroker, SubMode
 from repro.core.policy import BudgetMode, PardPolicy
 from repro.core.priority import PriorityMode
 from repro.core.state_planner import StatePlanner, WaitMode
-from repro.interfaces import DropContext
-from repro.policies.base import FifoQueue
+from repro.interfaces import DropContext, FifoQueue
 from repro.core.priority import DeadlineDepqQueue
 from repro.simulation.request import DropReason, Request, RequestStatus
 from repro.workload.generators import constant_trace, step_trace

@@ -4,8 +4,9 @@ Every scenario file under ``examples/scenarios/`` has a committed
 ``--save-summaries`` golden in ``benchmarks/goldens/``.  The simulation
 core must reproduce those bytes exactly — serially and through a process
 pool — so a performance change that perturbs results can never land
-silently.  ``repro bench`` runs the same comparison as its determinism
-gate (see :func:`repro.bench.check_goldens`).
+silently.  ``perfbench`` runs the same comparison as its correctness gate
+by importing :func:`repro.bench.harness.check_goldens`, the import path
+these tests pin.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import GOLDEN_SCENARIOS, check_goldens
+from repro.bench.harness import GOLDEN_SCENARIOS, check_goldens
 from repro.experiments.sweep import load_scenario_cells, run_sweep, summaries_text
 
 REPO = Path(__file__).resolve().parents[2]

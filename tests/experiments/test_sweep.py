@@ -149,15 +149,6 @@ class TestCache:
         prune_cache(tmp_path, max_bytes=0)
         assert not stale.exists()
 
-    def test_explicit_prune_stale_still_works(self, tmp_path):
-        from repro.experiments.sweep import SweepCache
-
-        stale = tmp_path / ("0" * 16)
-        stale.mkdir()
-        (stale / "dead.pkl").write_bytes(b"old")
-        SweepCache(tmp_path).prune_stale()
-        assert not stale.exists()
-
     def test_events_report_cache_hits(self, tmp_path):
         cells = tiny_cells(policies=("Naive",))
         run_sweep(cells, workers=1, cache_dir=tmp_path)

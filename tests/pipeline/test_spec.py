@@ -4,7 +4,26 @@ from __future__ import annotations
 
 import pytest
 
+from repro.pipeline.applications import get_application, known_applications
 from repro.pipeline.spec import ModuleSpec, PipelineSpec, chain
+
+
+def _networkx_graph(spec: PipelineSpec):
+    """The spec's declared edges as a networkx graph (the reference)."""
+    import networkx as nx
+
+    graph = nx.DiGraph()
+    graph.add_nodes_from(spec.module_ids)
+    for mid in spec.module_ids:
+        for s in spec.successors(mid):
+            graph.add_edge(mid, s)
+    return graph
+
+
+def _networkx_order(spec: PipelineSpec) -> list[str]:
+    import networkx as nx
+
+    return list(nx.lexicographical_topological_sort(_networkx_graph(spec)))
 
 
 class TestChainBuilder:
@@ -55,6 +74,19 @@ class TestValidation:
                 modules=[
                     ModuleSpec("m1", "a", pres=("m2",), subs=("m2",)),
                     ModuleSpec("m2", "b", pres=("m1",), subs=("m1",)),
+                ],
+            )
+
+    def test_reachable_cycle_rejected(self):
+        # Every module is reachable from the entry m1, but m2 and m3 wait
+        # on each other.
+        with pytest.raises(ValueError, match="contains a cycle"):
+            PipelineSpec(
+                name="bad",
+                modules=[
+                    ModuleSpec("m1", "a", subs=("m2",)),
+                    ModuleSpec("m2", "b", pres=("m1", "m3"), subs=("m3",)),
+                    ModuleSpec("m3", "c", pres=("m2",), subs=("m2",)),
                 ],
             )
 
@@ -182,16 +214,33 @@ class TestFrozenStructure:
         import networkx as nx
 
         spec = self.wide()
-        graph = nx.DiGraph()
-        graph.add_nodes_from(spec.module_ids)
-        for mid in spec.module_ids:
-            for s in spec.successors(mid):
-                graph.add_edge(mid, s)
-        topo = list(nx.lexicographical_topological_sort(graph))
+        graph = _networkx_graph(spec)
+        topo = _networkx_order(spec)
         for mid in spec.module_ids:
             reach = nx.descendants(graph, mid)
             assert spec.downstream(mid) == [m for m in topo if m in reach]
             assert spec.downstream_set(mid) == frozenset(reach)
+
+    @pytest.mark.parametrize("name", known_applications())
+    def test_topological_order_matches_networkx(self, name):
+        spec = get_application(name).spec
+        assert spec.topological_order() == _networkx_order(spec)
+
+    def test_topological_order_ignores_declaration_order(self):
+        # Declared z, m, c, y, a with two entries: the order is still the
+        # lexicographic one (y, z, c, m, a), as networkx computes it.
+        spec = PipelineSpec(
+            name="shuffled",
+            modules=[
+                ModuleSpec("z", "a", subs=("m", "c")),
+                ModuleSpec("m", "b", pres=("z",), subs=("a",)),
+                ModuleSpec("c", "c", pres=("z", "y"), subs=("a",)),
+                ModuleSpec("y", "d", subs=("c",)),
+                ModuleSpec("a", "e", pres=("m", "c")),
+            ],
+        )
+        assert spec.topological_order() == ["y", "z", "c", "m", "a"]
+        assert spec.topological_order() == _networkx_order(spec)
 
     def test_downstream_returns_fresh_list(self):
         spec = self.wide()

@@ -6,10 +6,7 @@ import pytest
 
 from repro.interfaces import FifoQueue
 from repro.policies.naive import NaivePolicy
-from repro.simulation.dispatcher import (
-    LeastLoadedDispatcher,
-    RoundRobinDispatcher,
-)
+from repro.simulation.dispatcher import LeastLoadedDispatcher
 from repro.simulation.request import Request
 
 from ..conftest import make_cluster, tiny_chain_app
@@ -55,17 +52,9 @@ class TestDispatchers:
         workers = self.workers()
         assert LeastLoadedDispatcher().pick(workers).worker_id == 0
 
-    def test_round_robin_cycles(self):
-        workers = self.workers()
-        rr = RoundRobinDispatcher()
-        picks = [rr.pick(workers).worker_id for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-
     def test_empty_worker_list_rejected(self):
         with pytest.raises(ValueError):
             LeastLoadedDispatcher().pick([])
-        with pytest.raises(ValueError):
-            RoundRobinDispatcher().pick([])
 
 
 class TestPolicyDefaults:
