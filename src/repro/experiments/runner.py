@@ -30,7 +30,7 @@ from ..simulation.rng import RngStreams
 from ..simulation.routing import PathRouter
 from ..simulation.scaling import ReactiveScaler
 from ..simulation.tenancy import SharedCluster, Tenant
-from ..workload.generators import TRACES, get_trace
+from ..workload.generators import TRACES
 from ..workload.replay import ArrivalPump, replay
 from ..workload.source import ArrivalSource
 from ..workload.trace import Trace
@@ -38,6 +38,7 @@ from .scenario import (
     MultiScenario,
     Scenario,
     ScalingSpec,
+    TraceSpec,
     _thaw,
     freeze_trace_args,
 )
@@ -117,16 +118,17 @@ class ExperimentConfig:
         return app
 
     def resolve_trace(self) -> Trace | ArrivalSource:
+        """``custom_trace``, or the named trace built as a scenario's
+        :class:`TraceSpec` would build it, materialized."""
         if self.custom_trace is not None:
             return self.custom_trace
-        trace = get_trace(
-            self.trace, base_rate=self.resolve_base_rate(),
-            duration=self.duration, seed=self._trace_seed(),
-            **{k: _thaw(v) for k, v in self.trace_args},
+        spec = TraceSpec(
+            name=self.trace, duration=self.duration, seed=self.trace_seed,
+            args=self.trace_args, scale=self.trace_scale,
         )
-        if self.trace_scale != 1.0:
-            trace = trace.scaled(self.trace_scale)
-        return trace
+        return spec.build_source(
+            self.resolve_base_rate(), default_seed=self.seed
+        ).materialize()
 
     def _trace_seed(self) -> int:
         return self.seed if self.trace_seed is None else self.trace_seed
@@ -254,7 +256,8 @@ def build_cluster(
     :class:`~repro.simulation.resilience.HopResilience` policies.
     """
     app = config.resolve_app()
-    trace = trace or config.resolve_trace()
+    if trace is None:
+        trace = config.resolve_trace()
     plan = plan_batch_sizes(app.spec, config.registry, app.slo)
     workers = config.resolve_workers(trace)
     sim = Simulator()
@@ -384,23 +387,12 @@ def run_scenario(scenario: Scenario, lean: bool = False) -> ExperimentResult:
     """
     scenario.validate()
     config = scenario_config(scenario)
-    if scenario.trace.is_lazy():
-        # Lazy workloads (file-backed or stream=True) never materialize:
-        # provisioning sees the base source through one counting pass and
-        # replay pulls the composed source chunk by chunk.
-        base: Trace | ArrivalSource = scenario.trace.build_source_base(
-            config.resolve_base_rate(), default_seed=scenario.seed
-        )
-        trace: Trace | ArrivalSource = scenario.trace.overlay_source(
-            base, default_seed=scenario.seed
-        )
-    else:
-        # The shim carries the full trace declaration (name, args, scale,
-        # seed), so the base workload comes from the same resolve_trace
-        # path calibration measures; only the burst overlays are
-        # scenario-level.
-        base = config.resolve_trace()
-        trace = scenario.trace.overlay(base, default_seed=scenario.seed)
+    # Provisioning counts the base source (bursts excluded); replay pulls
+    # the composed source chunk by chunk.
+    base = scenario.trace.build_source_base(
+        config.resolve_base_rate(), default_seed=scenario.seed
+    )
+    trace = scenario.trace.overlay_source(base, default_seed=scenario.seed)
     if (config.workers is None and config.utilization is None
             and config.provision_rate is None and base.mean_rate > 0):
         # Auto-provisioning sizes the cluster for the steady workload;
@@ -437,7 +429,7 @@ class MultiResult:
     collectors: dict[str, MetricsCollector]
     aggregate: Summary
     cluster: SharedCluster
-    traces: dict[str, Trace | ArrivalSource]
+    traces: dict[str, ArrivalSource]
     failure_log: list[str] = field(default_factory=list)
     #: Structured fault timeline (the source of ``failure_log``).
     fault_records: list = field(default_factory=list)
@@ -452,28 +444,18 @@ class MultiResult:
 
 def _tenant_workload(
     scenario: Scenario, seed: int, weight: float
-) -> "tuple[Trace | ArrivalSource, Trace | ArrivalSource]":
+) -> tuple[ArrivalSource, ArrivalSource]:
     """(base workload, composed workload) for one tenant.
 
     Mirrors :func:`run_scenario`'s trace path exactly — same generator,
     args, scale and overlay order — so a tenant served alone and the same
     tenant on an uncontended shared cluster replay the identical workload.
     ``weight`` scales the declared base rate; ``seed`` is the effective
-    (shared-seed-shifted) tenant seed.  Lazy tenant traces (file-backed
-    or ``stream=True``) come back as streaming sources.
+    (shared-seed-shifted) tenant seed.
     """
-    config = scenario_config(scenario)
-    config.seed = seed
-    if weight != 1.0:
-        config.base_rate = config.base_rate * weight
-    if scenario.trace.is_lazy():
-        base: Trace | ArrivalSource = scenario.trace.build_source_base(
-            config.base_rate, default_seed=seed
-        )
-        return base, scenario.trace.overlay_source(base, default_seed=seed)
-    base = config.resolve_trace()
-    trace = scenario.trace.overlay(base, default_seed=seed)
-    return base, trace
+    base_rate = scenario_config(scenario).base_rate * weight
+    base = scenario.trace.build_source_base(base_rate, default_seed=seed)
+    return base, scenario.trace.overlay_source(base, default_seed=seed)
 
 
 def _provision_pools(
@@ -516,7 +498,7 @@ def run_multi_scenario(multi: MultiScenario, lean: bool = False) -> MultiResult:
     multi.validate()
     registry = multi.build_registry()
     tenants: list[Tenant] = []
-    traces: dict[str, Trace | ArrivalSource] = {}
+    traces: dict[str, ArrivalSource] = {}
     base_rates: dict[str, float] = {}
     for tenant_spec in multi.tenants:
         s = tenant_spec.scenario

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -40,7 +41,7 @@ from ..simulation.failures import FailureEvent
 from ..simulation.resilience import HopResilience
 from ..simulation.routing import PathRouter, ProbabilisticRouter, StaticRouter
 from ..workload.generators import TRACES, get_trace, stream_trace
-from ..workload.source import ArrivalSource, FileSource
+from ..workload.source import ArrivalSource, FileSource, TraceSource
 from ..workload.trace import Trace
 
 __all__ = [
@@ -191,8 +192,8 @@ def _check_provision_targets(
 class BurstSpec:
     """Rate overlay: multiply arrivals by ``factor`` over one window.
 
-    Applied via :meth:`repro.workload.trace.Trace.overlay_burst`; with
-    ``factor > 1`` this is the "workload burst" the paper motivates
+    Applied via :meth:`repro.workload.source.ArrivalSource.overlay_burst`;
+    with ``factor > 1`` this is the "workload burst" the paper motivates
     proactive dropping with, declared instead of hand-built.
     """
 
@@ -239,7 +240,11 @@ class TraceSpec:
     ``bursts`` overlay rate multipliers — so a "composed" trace is data,
     not a live :class:`~repro.workload.trace.Trace` object.
 
-    Two lazy forms extend the generator declaration:
+    Every form builds one :class:`~repro.workload.source.ArrivalSource`
+    chain (:meth:`build_source`): the base below, thinned by ``scale``,
+    then one burst overlay per declared burst.  The base is the eager
+    generator's trace by default, streamed from memory; two forms never
+    materialize it:
 
     - ``path`` replays an on-disk arrival log (CSV or JSONL, see
       :class:`~repro.workload.source.FileSource`) instead of generating;
@@ -269,10 +274,15 @@ class TraceSpec:
     stream: bool = False
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("trace duration must be > 0")
-        if self.base_rate is not None and self.base_rate <= 0:
-            raise ValueError("trace base_rate must be > 0 (or null)")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(
+                f"trace duration must be finite and > 0, got {self.duration!r}"
+            )
+        if self.base_rate is not None and not 0 < self.base_rate < math.inf:
+            raise ValueError(
+                "trace base_rate must be finite and > 0 (or null), got "
+                f"{self.base_rate!r}"
+            )
         if not 0 < self.scale <= 1.0:
             raise ValueError("trace scale must be in (0, 1] (thinning only)")
         if self.digest is not None and self.path is None:
@@ -319,44 +329,13 @@ class TraceSpec:
                     f"{self.duration}"
                 )
 
-    def is_lazy(self) -> bool:
-        """True when the workload replays as a streaming source."""
-        return self.stream or self.path is not None
-
-    def build_base(self, base_rate: float, default_seed: int = 0) -> Trace:
+    def build_source_base(
+        self, base_rate: float, default_seed: int = 0
+    ) -> ArrivalSource:
         """The declared steady workload: generator args + thinning.
 
         Bursts are deliberately excluded — they are the "unpredictable
         events" layered on top, and provisioning must not see them.
-        File-backed traces materialize their stream here.
-        """
-        if self.path is not None:
-            return self.build_source_base(
-                base_rate, default_seed
-            ).materialize(self.name)
-        if self.name not in TRACES:
-            raise KeyError(
-                f"unknown trace {self.name!r}; known: {sorted(TRACES)}"
-            )
-        seed = self.seed if self.seed is not None else default_seed
-        kwargs = {k: _thaw(v) for k, v in self.args}
-        trace = get_trace(
-            self.name, base_rate=base_rate, duration=self.duration,
-            seed=seed, **kwargs,
-        )
-        if self.scale != 1.0:
-            trace = trace.scaled(self.scale)
-        return trace
-
-    def build_source_base(
-        self, base_rate: float, default_seed: int = 0
-    ) -> ArrivalSource:
-        """The steady workload as a lazy source (bursts excluded).
-
-        The streaming counterpart of :meth:`build_base`: a file replay
-        for ``path`` specs, a windowed :func:`~repro.workload.generators.
-        stream_trace` otherwise, with the declared thinning composed on
-        top as a streaming transform.
         """
         if self.path is not None:
             source: ArrivalSource = FileSource(
@@ -366,28 +345,22 @@ class TraceSpec:
         else:
             seed = self.seed if self.seed is not None else default_seed
             kwargs = {k: _thaw(v) for k, v in self.args}
-            source = stream_trace(
-                self.name, base_rate=base_rate, duration=self.duration,
-                seed=seed, **kwargs,
-            )
+            if self.stream:
+                source = stream_trace(
+                    self.name, base_rate, self.duration, seed, **kwargs
+                )
+            else:
+                source = TraceSource(get_trace(
+                    self.name, base_rate, self.duration, seed, **kwargs
+                ))
         if self.scale != 1.0:
             source = source.scaled(self.scale)
         return source
 
-    def overlay(self, trace: Trace, default_seed: int = 0) -> Trace:
-        """Apply the declared burst overlays to an already-built trace."""
-        seed = self.seed if self.seed is not None else default_seed
-        for burst in self.bursts:
-            trace = trace.overlay_burst(
-                burst.start, burst.length, burst.factor, seed=burst.seed + seed
-            )
-        return trace
-
     def overlay_source(
         self, source: ArrivalSource, default_seed: int = 0
     ) -> ArrivalSource:
-        """Burst overlays as streaming transforms (byte-identical to the
-        eager :meth:`overlay` on the same arrivals)."""
+        """Apply the declared burst overlays to an already-built source."""
         seed = self.seed if self.seed is not None else default_seed
         for burst in self.bursts:
             source = source.overlay_burst(
@@ -395,16 +368,10 @@ class TraceSpec:
             )
         return source
 
-    def build(self, base_rate: float, default_seed: int = 0) -> Trace:
-        """Generate the composed trace at ``base_rate``."""
-        return self.overlay(
-            self.build_base(base_rate, default_seed), default_seed
-        )
-
     def build_source(
         self, base_rate: float, default_seed: int = 0
     ) -> ArrivalSource:
-        """The composed workload as a lazy source (overlays included)."""
+        """The composed workload at ``base_rate`` (overlays included)."""
         return self.overlay_source(
             self.build_source_base(base_rate, default_seed), default_seed
         )
@@ -992,7 +959,11 @@ class Scenario:
         return self.app.build_registry()
 
     def build_trace(self, base_rate: float) -> Trace:
-        return self.trace.build(base_rate, default_seed=self.seed)
+        """The composed workload, materialized (what ``run_scenario``
+        replays at the same base rate)."""
+        return self.trace.build_source(
+            base_rate, default_seed=self.seed
+        ).materialize()
 
     # -- serialisation -----------------------------------------------------
 

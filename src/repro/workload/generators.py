@@ -81,9 +81,8 @@ def poisson_trace(
     rate: float, duration: float, seed: int = 0, name: str = "poisson"
 ) -> Trace:
     """Constant-rate Poisson arrivals."""
-    return arrivals_from_rate(
-        lambda t: np.full_like(t, rate), duration, rate, seed, name
-    )
+    rate_fn, peak = _poisson_envelope(rate, duration, seed)
+    return arrivals_from_rate(rate_fn, duration, peak, seed, name)
 
 
 def constant_trace(
@@ -245,18 +244,8 @@ def step_trace(
     ``rates`` is a list of (start_time, rate) change-points; the first entry
     must start at 0.  Used by the stress test (Figure 14a) and unit tests.
     """
-    if not rates or rates[0][0] != 0:
-        raise ValueError("rates must start with a change-point at t=0")
-    starts = np.array([s for s, _ in rates])
-    levels = np.array([r for _, r in rates])
-    if np.any(np.diff(starts) <= 0):
-        raise ValueError("change-points must be strictly increasing")
-
-    def rate(t: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(starts, t, side="right") - 1
-        return levels[idx]
-
-    return arrivals_from_rate(rate, duration, float(levels.max()), seed, name)
+    rate, peak = _step_envelope(1.0, duration, seed, rates=rates)
+    return arrivals_from_rate(rate, duration, peak, seed, name)
 
 
 # Synthetic baselines registered under the same pattern as the paper's
@@ -290,9 +279,8 @@ def _step_by_name(
     Declared as ``(start_time, rate_multiplier)`` change-points so the same
     step shape calibrates with any base rate.  Defaults to a flat 1.0x.
     """
-    shape = rates if rates is not None else [(0.0, 1.0)]
-    absolute = [(float(t), float(m) * base_rate) for t, m in shape]
-    return step_trace(rates=absolute, duration=duration, seed=seed, name=name)
+    rate, peak = _step_envelope(base_rate, duration, seed, rates=rates)
+    return arrivals_from_rate(rate, duration, peak, seed, name)
 
 
 def _poisson_envelope(
@@ -344,8 +332,6 @@ def stream_trace(
     base_rate: float,
     duration: float,
     seed: int = 0,
-    *,
-    window: float = 16.0,
     **kwargs,
 ):
     """Build a registered trace as a lazy :class:`~repro.workload.source.
@@ -375,6 +361,4 @@ def stream_trace(
     rate_fn, peak = envelope(
         base_rate=base_rate, duration=duration, seed=seed, **kwargs
     )
-    return GeneratorSource(
-        rate_fn, duration, peak, seed=seed, name=name, window=window
-    )
+    return GeneratorSource(rate_fn, duration, peak, seed=seed, name=name)

@@ -1,20 +1,22 @@
 """Streaming arrival sources: lazy, re-iterable, flat-memory workloads.
 
-An :class:`ArrivalSource` is the streaming counterpart of an eager
-:class:`~repro.workload.trace.Trace`: an ordered stream of request
-send-times generated (or read from disk) in bounded chunks, so a
-million-request workload replays in O(chunk) memory instead of one
-materialized array plus one pre-scheduled heap event per arrival.
+An :class:`ArrivalSource` is an ordered stream of request send-times
+generated (or read from disk) in bounded chunks, so a million-request
+workload replays in O(chunk) memory instead of one materialized array
+plus one pre-scheduled heap event per arrival.  It is the only home of
+the workload transforms (thinning, burst overlays, slicing, concat,
+splice); an eager :class:`~repro.workload.trace.Trace` is what
+:meth:`ArrivalSource.materialize` collects, and :class:`TraceSource`
+streams one back.
 
 Sources are *re-iterable* and deterministic: every ``chunks()`` call
 restarts generation from the seed, so a source can be counted for
 provisioning, then replayed, then counted again, always yielding the
-same stream.  Transforms (thinning, burst overlays, slicing, concat,
-splice) compose lazily and — where the eager :class:`Trace` method has
-an RNG — consume random draws in the same order, so a streamed
-transform of a materialized trace is *byte-identical* to the eager
-method (numpy's PCG64 fills ``random(k1)`` then ``random(k2)`` exactly
-like one ``random(k1+k2)`` call).
+same stream.  A transform's output does not depend on how its input is
+cut into chunks: random draws are taken per arrival in stream order
+(numpy's PCG64 fills ``random(k1)`` then ``random(k2)`` exactly like
+one ``random(k1+k2)`` call), and a burst buffers its whole window
+before drawing the extras.
 
 Synthetic generation itself cannot replicate the eager Lewis-Shedler
 draw order without materializing, so :class:`GeneratorSource` is a
@@ -27,6 +29,7 @@ seekable, but a different realization than the eager generator.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -37,6 +40,9 @@ from .trace import Trace
 
 #: Arrivals held in memory per generation step (not a correctness knob).
 CHUNK = 8192
+
+#: Seconds of arrivals a :class:`GeneratorSource` draws from one seed.
+WINDOW = 16.0
 
 RateFn = Callable[[np.ndarray], np.ndarray]
 
@@ -51,8 +57,10 @@ class ArrivalSource:
     """
 
     def __init__(self, name: str, duration: float) -> None:
-        if duration <= 0:
-            raise ValueError("source duration must be > 0")
+        if not 0 < duration < math.inf:
+            raise ValueError(
+                f"source duration must be finite and > 0, got {duration!r}"
+            )
         self.name = name
         self.duration = float(duration)
         self._count: int | None = None
@@ -76,26 +84,25 @@ class ArrivalSource:
         """Average requests/second (triggers one counting pass)."""
         return self.count() / self.duration
 
-    def materialize(self, name: str | None = None) -> Trace:
+    def materialize(self) -> Trace:
         """Collect the whole stream into an eager :class:`Trace` (O(n))."""
         parts = list(self.chunks())
         arrivals = (
             np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
         )
-        return Trace(
-            name=name or self.name, arrivals=arrivals, duration=self.duration
-        )
+        return Trace(name=self.name, arrivals=arrivals, duration=self.duration)
 
-    # -- composable transforms (mirror the eager Trace methods) -----------
+    # -- composable transforms --------------------------------------------
 
     def scaled(self, factor: float) -> "ArrivalSource":
-        """Rate thinning; byte-identical to :meth:`Trace.scaled`."""
+        """Rate thinning (see :class:`ThinnedSource`)."""
         return ThinnedSource(self, factor)
 
     def overlay_burst(
         self, start: float, length: float, factor: float, seed: int = 0
     ) -> "ArrivalSource":
-        """Burst overlay; byte-identical to :meth:`Trace.overlay_burst`."""
+        """Rate multiplied by ``factor`` over a window (see
+        :class:`BurstSource`)."""
         return BurstSource(self, start, length, factor, seed=seed)
 
     def slice(self, start: float, end: float) -> "ArrivalSource":
@@ -148,7 +155,7 @@ class ConstantSource(ArrivalSource):
 class GeneratorSource(ArrivalSource):
     """Windowed inhomogeneous-Poisson arrivals in O(window) memory.
 
-    Window ``w`` (covering ``[w*window, (w+1)*window)``) draws its
+    Window ``w`` (covering ``[w*WINDOW, (w+1)*WINDOW)``) draws its
     candidate count, positions and thinning from
     ``default_rng([seed, stable_hash(name), w])`` — every window is
     independent of the rest of the stream, so the source is re-iterable,
@@ -166,24 +173,20 @@ class GeneratorSource(ArrivalSource):
         peak_rate: float,
         seed: int,
         name: str,
-        window: float = 16.0,
     ) -> None:
         if peak_rate <= 0:
             raise ValueError("peak_rate must be > 0")
-        if window <= 0:
-            raise ValueError("window must be > 0")
         super().__init__(name, duration)
         self.rate_fn = rate_fn
         self.peak_rate = float(peak_rate)
         self.seed = int(seed)
-        self.window = float(window)
 
     def chunks(self) -> Iterator[np.ndarray]:
         key = stable_hash(self.name)
-        n_windows = int(np.ceil(self.duration / self.window))
+        n_windows = int(np.ceil(self.duration / WINDOW))
         for w in range(n_windows):
-            start = w * self.window
-            end = min(start + self.window, self.duration)
+            start = w * WINDOW
+            end = min(start + WINDOW, self.duration)
             rng = np.random.default_rng([self.seed, key, w])
             n = rng.poisson(self.peak_rate * (end - start))
             times = np.sort(rng.uniform(start, end, size=n))
@@ -199,7 +202,14 @@ class GeneratorSource(ArrivalSource):
 
 
 class ThinnedSource(ArrivalSource):
-    """Streaming counterpart of :meth:`Trace.scaled` (same RNG stream)."""
+    """Rate scaled by ``factor <= 1``: each arrival survives with
+    probability ``factor``.
+
+    Thinning keeps the temporal shape; rate up-scaling belongs to
+    generation time.  The draws come from a stable digest of the input
+    name, never ``hash()`` (salted per process), so sweep worker
+    processes thin identically.
+    """
 
     def __init__(self, source: ArrivalSource, factor: float) -> None:
         if factor <= 0:
@@ -214,8 +224,8 @@ class ThinnedSource(ArrivalSource):
         self.factor = float(factor)
 
     def chunks(self) -> Iterator[np.ndarray]:
-        # Same seed derivation as Trace.scaled; per-chunk random() calls
-        # consume the identical PCG64 stream one big call would.
+        # Per-chunk random() calls consume the identical PCG64 stream one
+        # big call would, so chunking never changes which arrivals survive.
         rng = np.random.default_rng(stable_hash(self.source.name) % 2**32)
         for chunk in self.source.chunks():
             out = chunk[rng.random(chunk.size) < self.factor]
@@ -224,14 +234,18 @@ class ThinnedSource(ArrivalSource):
 
 
 class BurstSource(ArrivalSource):
-    """Streaming counterpart of :meth:`Trace.overlay_burst`.
+    """Arrival rate multiplied by ``factor`` over ``[start, start+length)``.
 
-    ``factor < 1`` thins the window chunk-by-chunk (drawing one random
-    per arrival, in and out of the window, exactly like the eager
-    method).  ``factor > 1`` must know the window's arrival count before
-    drawing the extras, so the window's own arrivals are buffered — the
-    only transform whose memory scales with a declared burst window
-    rather than the chunk size.
+    Models the paper's "unpredictable events".  ``factor > 1`` superposes
+    extra uniform arrivals on the window so its rate lands at roughly
+    ``factor`` times the original; it must know the window's arrival
+    count before drawing them, so the window's own arrivals are buffered
+    — the only transform whose memory scales with a declared burst
+    window rather than the chunk size.  ``factor < 1`` thins the window
+    chunk by chunk, drawing one random per arrival in and out of the
+    window.  Deterministic in ``seed`` and the input name, so
+    declaratively composed workloads replay identically across sweep
+    worker processes.
     """
 
     def __init__(
@@ -307,7 +321,7 @@ class BurstSource(ArrivalSource):
 
 
 class SliceSource(ArrivalSource):
-    """Streaming counterpart of :meth:`Trace.slice` ([start, end), re-based)."""
+    """Sub-stream covering ``[start, end)``, re-based to t=0."""
 
     def __init__(self, source: ArrivalSource, start: float, end: float) -> None:
         if not 0 <= start < end <= source.duration:
@@ -330,7 +344,7 @@ class SliceSource(ArrivalSource):
 
 class ConcatSource(ArrivalSource):
     """End-to-end concatenation; each source re-based after the previous
-    one's full duration.  Matches :meth:`Trace.concat` bitwise."""
+    one's full duration (not its last arrival), so quiet tails are kept."""
 
     def __init__(
         self, sources: Sequence[ArrivalSource], name: str | None = None
@@ -355,7 +369,10 @@ class ConcatSource(ArrivalSource):
 class SpliceSource(ArrivalSource):
     """Replace ``[at, at + other.duration)`` of ``base`` with ``other``.
 
-    Matches :meth:`Trace.splice` bitwise.  The base stream is iterated
+    Drops a recorded incident (or any other stream) into a steady
+    baseline: ``base`` arrivals inside the window are discarded,
+    ``other``'s shift to start at ``at``, and the duration extends if
+    the splice runs past the end.  No RNG.  The base stream is iterated
     twice (once for the prefix, once for the suffix) — sources are
     re-iterable, so this stays flat-memory.
     """
@@ -435,6 +452,11 @@ class FileSource(ArrivalSource):
             if last is None:
                 raise ValueError(f"trace file {self.path} holds no arrivals")
             duration = last + 1e-9
+        if not 0 < duration < math.inf:
+            raise ValueError(
+                f"{self.path}: trace duration {duration!r} must be finite "
+                "and > 0"
+            )
         super().__init__(
             name or header_name or self.path.stem, float(duration)
         )
@@ -490,6 +512,10 @@ class FileSource(ArrivalSource):
                 t = self._parse(line, lineno)
                 if t is None:
                     continue
+                if not math.isfinite(t):
+                    raise ValueError(
+                        f"{self.path}:{lineno}: arrival {t!r} is not finite"
+                    )
                 if validate:
                     if t < last:
                         raise ValueError(

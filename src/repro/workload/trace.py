@@ -4,16 +4,18 @@ A :class:`Trace` is an ordered array of client send timestamps.  The paper
 replays three real-world request-rate traces (Wikipedia, Twitter, Azure
 Functions); we ship synthetic generators matched to their published shape
 statistics (see :mod:`repro.workload.generators`) plus the machinery to
-inspect and replay any trace.
+inspect and replay any trace.  Transforms (thinning, bursts, slicing,
+concat, splice) live on :class:`~repro.workload.source.ArrivalSource`;
+an eager trace is a source's :meth:`~repro.workload.source.ArrivalSource.
+materialize` output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ..simulation.rng import stable_hash
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,14 @@ class Trace:
         arr = np.asarray(self.arrivals, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("arrivals must be a 1-D array")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"trace duration {self.duration!r} is not finite")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(
+                f"arrival {float(arr[bad])!r} at index {bad} is not finite"
+            )
         if arr.size and (np.any(np.diff(arr) < 0)):
             raise ValueError("arrivals must be sorted ascending")
         if arr.size and (arr[0] < 0 or arr[-1] > self.duration):
@@ -68,123 +78,3 @@ class Trace:
         if mean == 0:
             return 0.0
         return float(rates.std() / mean)
-
-    def slice(self, start: float, end: float) -> "Trace":
-        """Sub-trace covering [start, end), re-based to t=0."""
-        if not 0 <= start < end <= self.duration:
-            raise ValueError(f"invalid slice [{start}, {end})")
-        mask = (self.arrivals >= start) & (self.arrivals < end)
-        return Trace(
-            name=f"{self.name}[{start:g}:{end:g}]",
-            arrivals=self.arrivals[mask] - start,
-            duration=end - start,
-        )
-
-    def overlay_burst(
-        self, start: float, length: float, factor: float, seed: int = 0
-    ) -> "Trace":
-        """Trace with the arrival rate multiplied by ``factor`` over a window.
-
-        Models the paper's "unpredictable events": for ``factor > 1`` extra
-        Poisson arrivals are superposed on [start, start+length) so the
-        windowed rate lands at roughly ``factor`` times the original;
-        ``factor < 1`` thins the window instead.  Deterministic in ``seed``
-        (and the trace name), so declaratively composed traces replay
-        identically across sweep worker processes.
-        """
-        if length <= 0:
-            raise ValueError("burst length must be > 0")
-        if factor <= 0:
-            raise ValueError("burst factor must be > 0")
-        if not 0 <= start < self.duration:
-            raise ValueError(
-                f"burst start {start} outside trace duration {self.duration}"
-            )
-        end = min(start + length, self.duration)
-        rng = np.random.default_rng(
-            (stable_hash(f"{self.name}|burst") + seed) % 2**32
-        )
-        in_window = (self.arrivals >= start) & (self.arrivals < end)
-        if factor < 1:
-            keep = ~in_window | (rng.random(len(self)) < factor)
-            arrivals = self.arrivals[keep]
-        else:
-            n_extra = rng.poisson((factor - 1.0) * int(in_window.sum()))
-            extra = rng.uniform(start, end, size=n_extra)
-            arrivals = np.sort(np.concatenate([self.arrivals, extra]))
-        return Trace(
-            name=f"{self.name}@{start:g}x{factor:g}",
-            arrivals=arrivals,
-            duration=self.duration,
-        )
-
-    def scaled(self, factor: float) -> "Trace":
-        """Trace with the arrival *rate* scaled by ``factor`` via thinning
-        (factor < 1) or time compression is not used — rate scaling keeps
-        the temporal shape, repeating arrivals for factor > 1 is avoided by
-        jittered replication at trace-generation time instead."""
-        if factor <= 0:
-            raise ValueError("factor must be > 0")
-        if factor > 1:
-            raise ValueError(
-                "rate up-scaling must be done at generation time; "
-                "Trace.scaled only supports thinning (factor <= 1)"
-            )
-        # hash() is salted per process (PYTHONHASHSEED), which would make
-        # thinning non-deterministic across sweep worker processes; derive
-        # the seed from a stable digest of the name instead.
-        rng = np.random.default_rng(stable_hash(self.name) % 2**32)
-        keep = rng.random(len(self)) < factor
-        return Trace(
-            name=f"{self.name}x{factor:g}",
-            arrivals=self.arrivals[keep],
-            duration=self.duration,
-        )
-
-    @staticmethod
-    def concat(traces: "list[Trace] | tuple[Trace, ...]",
-               name: str | None = None) -> "Trace":
-        """Concatenate traces end to end.
-
-        Each trace is re-based after the previous one's *full* duration
-        (not its last arrival), so quiet tails are preserved.  Matches
-        :class:`~repro.workload.source.ConcatSource` bitwise.
-        """
-        traces = list(traces)
-        if not traces:
-            raise ValueError("concat needs at least one trace")
-        parts: list[np.ndarray] = []
-        offset = 0.0
-        for trace in traces:
-            parts.append(trace.arrivals + offset)
-            offset += trace.duration
-        return Trace(
-            name=name or "+".join(t.name for t in traces),
-            arrivals=np.concatenate(parts),
-            duration=offset,
-        )
-
-    def splice(self, other: "Trace", at: float) -> "Trace":
-        """Replace the window ``[at, at + other.duration)`` with ``other``.
-
-        The paper's trace-composition gap beyond bursts: drop a recorded
-        incident (or any other trace) into a steady baseline at a chosen
-        time.  Arrivals of ``self`` inside the window are discarded,
-        ``other``'s arrivals shift to start at ``at``, and the duration
-        extends if the splice runs past the end.  Deterministic — no RNG.
-        Matches :class:`~repro.workload.source.SpliceSource` bitwise.
-        """
-        if not 0 <= at <= self.duration:
-            raise ValueError(
-                f"splice point {at} outside trace duration {self.duration}"
-            )
-        end = at + other.duration
-        return Trace(
-            name=f"{self.name}<-{other.name}@{at:g}",
-            arrivals=np.concatenate([
-                self.arrivals[self.arrivals < at],
-                other.arrivals + at,
-                self.arrivals[self.arrivals >= end],
-            ]),
-            duration=max(self.duration, end),
-        )

@@ -320,7 +320,7 @@ class TestExecution:
         result = run_multi_scenario(full_multi())
         assert set(result.summaries) == {"victim", "aggressor"}
         for name, trace in result.traces.items():
-            assert result.summaries[name].total == len(trace)
+            assert result.summaries[name].total == trace.count()
         total = sum(s.total for s in result.summaries.values())
         assert result.aggregate.total == total
         assert set(result.pool_ids) == {"vic_a", "vic_b", "agg_a"}
@@ -391,7 +391,7 @@ class TestExecution:
         )
         result = run_multi_scenario(ms)
         assert result.aggregate.total == sum(
-            len(t) for t in result.traces.values()
+            t.count() for t in result.traces.values()
         )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.experiments.configs import (
@@ -21,6 +22,7 @@ from repro.experiments.runner import (
 from repro.policies.naive import NaivePolicy
 from repro.policies.nexus import NexusPolicy
 from repro.workload.generators import constant_trace
+from repro.workload.trace import Trace
 
 
 class TestConfig:
@@ -63,6 +65,22 @@ class TestConfig:
         )
         cluster = build_cluster(config, NaivePolicy())
         assert all(m.n_workers == 3 for m in cluster.modules.values())
+
+    def test_supplied_empty_trace_is_kept(self, monkeypatch):
+        """Regression: a 0-arrival Trace is falsy, and build_cluster used
+        to swap it for a freshly generated named trace (and provision
+        for that trace's rate when no workers were given)."""
+
+        def regenerate(self):
+            raise AssertionError("supplied trace was regenerated")
+
+        monkeypatch.setattr(ExperimentConfig, "resolve_trace", regenerate)
+        config = ExperimentConfig(
+            app="tm", trace="tweet", duration=30, base_rate=200, workers=2
+        )
+        empty = Trace("empty", np.empty(0), duration=30.0)
+        cluster = build_cluster(config, NaivePolicy(), empty)
+        assert all(m.n_workers == 2 for m in cluster.modules.values())
 
     def test_calibrated_rate_honours_int_workers(self):
         """Regression: the int form of ``workers`` used to be ignored by

@@ -504,19 +504,18 @@ class TestResolution:
 
 class TestExecution:
     def test_build_trace_matches_replayed_trace(self):
-        """The spec path (Scenario.build_trace) and the execution path
-        (run_scenario via the config shim) must generate the identical
-        trace — pins the two implementations together."""
-        import numpy as np
-
+        """Scenario.build_trace at the calibrated rate materializes exactly
+        the workload run_scenario replays."""
         s = full_scenario()
         result = run_scenario(s)
         spec_trace = s.build_trace(scenario_config(s).resolve_base_rate())
-        assert np.array_equal(result.trace.arrivals, spec_trace.arrivals)
+        replayed = result.trace.materialize()
+        assert replayed.arrivals.tobytes() == spec_trace.arrivals.tobytes()
+        assert replayed.name == spec_trace.name
 
     def test_run_scenario_executes_failures(self):
         result = run_scenario(full_scenario())
-        assert result.summary.total == len(result.trace)
+        assert result.summary.total == result.trace.count()
         assert len(result.failure_log) == 4  # two fails + two recoveries
         assert any("fail m1" in line for line in result.failure_log)
         assert any("recover m2" in line for line in result.failure_log)
@@ -544,7 +543,7 @@ class TestExecution:
             failures=(),
         )
         result = run_scenario(s)
-        assert result.summary.total == len(result.trace)
+        assert result.summary.total == result.trace.count()
 
     def test_provisioning_follows_composed_trace(self):
         """Auto-provisioning must size workers for the trace actually

@@ -28,7 +28,6 @@ class TestSpecFields:
         d = spec.to_dict()
         assert d["stream"] is True
         assert TraceSpec.from_dict(d) == spec
-        assert spec.is_lazy()
 
     def test_path_roundtrip(self, tmp_path):
         trace = get_trace("poisson", base_rate=30.0, duration=15.0, seed=0)
@@ -38,9 +37,25 @@ class TestSpecFields:
         d = spec.to_dict()
         assert d["path"] == str(path)
         assert TraceSpec.from_dict(d) == spec
-        assert spec.is_lazy()
         # Name defaults to the file stem.
         assert spec.name == "t"
+
+    def test_non_finite_fields_rejected(self):
+        for field in ("duration", "base_rate"):
+            with pytest.raises(ValueError) as err:
+                TraceSpec(**{field: float("inf")})
+            message = str(err.value)
+            assert message.startswith(f"trace {field} must be finite")
+            assert "\n" not in message
+        with pytest.raises(ValueError, match="duration must be finite"):
+            TraceSpec(duration=float("nan"))
+
+    def test_infinite_file_duration_fails_at_parse(self, tmp_path):
+        # Accepted, this horizon made run_scenario loop forever.
+        path = tmp_path / "t.csv"
+        path.write_text("# trace=t duration=inf\n1.0\n")
+        with pytest.raises(ValueError, match="t.csv: trace duration inf"):
+            Scenario.from_dict({"trace": {"path": str(path)}, "workers": 1})
 
     def test_digest_requires_path(self):
         with pytest.raises(ValueError):
