@@ -10,30 +10,33 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import priority
 from repro.core.batch_wait import BatchWaitEstimator
-from repro.core.depq import MinMaxHeap
 from repro.core.state_planner import StatePlanner
 from repro.policies.naive import NaivePolicy
+from repro.simulation.request import Request
 
 from tests.conftest import make_cluster, tiny_chain_app
+from tests.core.test_depq import HBF, LBF, make_queue as make_depq
 
 
 def test_depq_push_pop_throughput(benchmark):
-    keys = np.random.default_rng(0).random(1024).tolist()
+    requests = [Request(sent_at=k, slo=0.3)
+                for k in np.random.default_rng(0).random(1024).tolist()]
 
     def workload():
-        heap: MinMaxHeap[float] = MinMaxHeap()
-        for k in keys:
-            heap.push(k, k)
+        queue, controller = make_depq()
+        for r in requests:
+            queue.push(r, 0.0)
         for i in range(512):
-            if i % 2:
-                heap.pop_min()
-            else:
-                heap.pop_max()
-        return heap
+            # Worst case: the popped end alternates every pop, so every
+            # pop re-orients the heap.
+            controller.mode = LBF if i % 2 else HBF
+            queue.pop(0.0)
+        return queue
 
-    heap = benchmark(workload)
-    assert len(heap) == 512
+    queue = benchmark(workload)
+    assert len(queue) == 512
     per_op = benchmark.stats.stats.mean / (1024 + 512)
     print(f"\nDEPQ mean cost per operation: {per_op * 1e6:.2f} us "
           f"(queue length 1024)")
@@ -42,23 +45,32 @@ def test_depq_push_pop_throughput(benchmark):
 
 
 def test_depq_scaling_is_logarithmic(benchmark):
-    """Cost per op grows mildly with queue size (log n, not linear)."""
+    """Cost per op grows mildly with queue size (log n, not linear).
+
+    The mode is held fixed during the timed ops, once per end: PARD's
+    controller changes a module's mode only at a sync tick, never
+    between consecutive pops.
+    """
 
     def cost(n: int) -> float:
         import time
 
-        heap: MinMaxHeap[int] = MinMaxHeap()
+        queue, controller = make_depq()
         for i in range(n):
-            heap.push(float(i % 97), i)
-        t0 = time.perf_counter()
+            queue.push(Request(sent_at=float(i % 97), slo=0.3), 0.0)
         ops = 2000
-        for i in range(ops):
-            heap.push(float(i % 89), i)
-            if i % 2:
-                heap.pop_min()
-            else:
-                heap.pop_max()
-        return (time.perf_counter() - t0) / ops
+        pushed = [Request(sent_at=float(i % 89), slo=0.3) for i in range(ops)]
+        elapsed = 0.0
+        for mode, half in ((LBF, pushed[: ops // 2]), (HBF, pushed[ops // 2:])):
+            controller.mode = mode
+            queue.push(Request(sent_at=0.0, slo=0.3), 0.0)
+            queue.pop(0.0)  # untimed: orients the heap for this mode
+            t0 = time.perf_counter()
+            for r in half:
+                queue.push(r, 0.0)
+                queue.pop(0.0)
+            elapsed += time.perf_counter() - t0
+        return elapsed / ops
 
     results = benchmark.pedantic(
         lambda: {n: cost(n) for n in (100, 10_000)}, rounds=1, iterations=1
@@ -67,6 +79,45 @@ def test_depq_scaling_is_logarithmic(benchmark):
           f"n=10000 -> {results[10_000] * 1e6:.2f}us")
     # 100x more elements must cost far less than 100x per op.
     assert results[10_000] < results[100] * 10
+
+
+def test_depq_reorients_once_per_mode_change(monkeypatch):
+    """The O(n) re-orientation runs exactly once per mode change a pop
+    sees: never on push, never on a pop in the current orientation, and
+    not for a flip that is undone before the next pop."""
+    reorients = []
+    heapify = priority.heapify
+
+    def counting_heapify(heap):
+        reorients.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(priority, "heapify", counting_heapify)
+    queue, controller = make_depq()
+    rng = np.random.default_rng(1)
+    for k in rng.random(64).tolist():
+        queue.push(Request(sent_at=k, slo=0.3), 0.0)
+    expected = 0
+    oriented = LBF
+    for _ in range(400):
+        action = rng.integers(4)
+        if action == 0:
+            queue.push(Request(sent_at=float(rng.random()), slo=0.3), 0.0)
+        elif action == 1:
+            controller.mode = HBF if controller.mode == LBF else LBF
+        else:
+            if len(queue) and controller.mode != oriented:
+                expected += 1
+                oriented = controller.mode
+            queue.pop(0.0)
+        assert len(reorients) == expected
+    assert expected > 10
+    # A flip and flip back between pops costs nothing.
+    controller.mode = HBF if oriented == LBF else LBF
+    queue.push(Request(sent_at=0.5, slo=0.3), 0.0)
+    controller.mode = oriented
+    queue.pop(0.0)
+    assert len(reorients) == expected
 
 
 def test_state_sync_payload_size(benchmark):

@@ -19,7 +19,6 @@ paper-versus-measured record of every figure and table.
 from .core import (
     BatchWaitEstimator,
     BudgetMode,
-    MinMaxHeap,
     PardPolicy,
     PriorityMode,
     StatePlanner,
@@ -67,7 +66,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "MetricsCollector",
-    "MinMaxHeap",
     "ModelProfile",
     "NaivePolicy",
     "NexusPolicy",

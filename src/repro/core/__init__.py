@@ -7,7 +7,6 @@ from .batch_wait import (
     irwin_hall_quantile,
 )
 from .broker import LatencyEstimate, RequestBroker, SubMode
-from .depq import MinMaxHeap
 from .policy import BudgetMode, PardPolicy
 from .priority import (
     AdaptivePriorityController,
@@ -25,7 +24,6 @@ __all__ = [
     "DeadlineDepqQueue",
     "LatencyEstimate",
     "LoadSmoother",
-    "MinMaxHeap",
     "ModuleState",
     "PardPolicy",
     "PathMode",

@@ -13,17 +13,24 @@ Requests in each worker's DEPQ are keyed by their remaining latency budget
 * in between — keep the previous mode (delayed transition), with
   ``eps = sum |T_in - T_s| / sum T_in`` computed from the smoothed
   workload, so bursty traces get a wider hysteresis band.
+
+A module's mode changes only when :meth:`AdaptivePriorityController.update`
+runs at a sync tick, so between ticks every pop takes the same end.  The
+queue therefore keeps one ``heapq`` list oriented toward the end the
+current mode pops, and re-orients it (negate every key, re-heapify: O(n))
+only at the first pop after the mode flipped.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
 
 from ..interfaces import RequestQueue
 from ..simulation.request import Request
-from .depq import MinMaxHeap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..simulation.module import Module
@@ -158,34 +165,50 @@ class AdaptivePriorityController:
 
 
 class DeadlineDepqQueue(RequestQueue):
-    """Worker queue: DEPQ keyed by absolute deadline.
+    """Worker queue: double-ended priority queue keyed by absolute deadline.
 
     Remaining budget at a common 'now' orders identically to the absolute
     deadline ``t_s + SLO``, so the key never needs re-weighting as time
-    passes.  LBF pops the earliest deadline (min end), HBF the latest
-    (max end).  The FCFS ablation uses a plain FIFO queue instead (the
-    policy's ``make_queue`` handles that), so modes never mix here.
+    passes.  LBF pops the minimum ``(deadline, seq)`` — earliest deadline,
+    FIFO among ties — and HBF the maximum — latest deadline, LIFO among
+    ties.  ``seq`` is the push order, so ties never reach the request.
+
+    One ``heapq`` list holds ``(deadline, seq, request)`` entries while
+    the queue is oriented for LBF and ``(-deadline, -seq, request)`` for
+    HBF, so push and pop are each a single C heap call.  A pop that finds
+    the controller's mode differs from the orientation negates every
+    entry and re-heapifies once (O(n)); the controller flips a module's
+    mode only at a sync tick, so this is rare.  The FCFS ablation uses a
+    plain FIFO queue instead (the policy's ``make_queue`` handles that),
+    so modes never mix here.
     """
 
-    __slots__ = ("_module", "_module_id", "_controller", "_heap")
+    __slots__ = ("_module_id", "_controller", "_heap", "_hbf", "_seq")
 
     def __init__(self, module: "Module", controller: AdaptivePriorityController) -> None:
-        self._module = module
         self._module_id = module.spec.id
         self._controller = controller
-        self._heap: MinMaxHeap[Request] = MinMaxHeap()
+        self._heap: list[tuple[float, int, Request]] = []
+        self._hbf = False  # orientation: which end the heap root holds
+        self._seq = itertools.count()
 
     def push(self, request: Request, now: float) -> None:
-        self._heap.push(request.deadline, request)
+        if self._hbf:
+            heappush(self._heap, (-request.deadline, -next(self._seq), request))
+        else:
+            heappush(self._heap, (request.deadline, next(self._seq), request))
 
     def pop(self, now: float) -> Request | None:
         heap = self._heap
         if not heap:
             return None
-        mode = self._controller.current(self._module_id)
-        if mode == PriorityMode.HBF:
-            return heap.pop_max()
-        return heap.pop_min()
+        hbf = self._controller.current(self._module_id) == PriorityMode.HBF
+        if hbf is not self._hbf:
+            # The mode flipped since the last pop: re-orient in place.
+            self._hbf = hbf
+            heap[:] = [(-key, -seq, r) for key, seq, r in heap]
+            heapify(heap)
+        return heappop(heap)[2]
 
     def __len__(self) -> int:
         return len(self._heap)

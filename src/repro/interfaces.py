@@ -5,11 +5,18 @@ baseline and all Table-1 ablations) plugs into the same three seams of the
 simulator:
 
 * :meth:`DropPolicy.make_queue` — the per-worker queue discipline (FIFO for
-  reactive systems, a deadline-keyed DEPQ for PARD);
+  reactive systems; for PARD a deadline-keyed DEPQ whose single heap is
+  oriented toward the end the module's priority mode pops);
 * :meth:`DropPolicy.should_drop` — consulted by a worker at time ``t_b``,
   right before a request joins a forming batch (Figure 5 of the paper);
 * :meth:`DropPolicy.on_admit` — consulted when a request enters a module
   (used by overload-control style policies such as PARD-oc).
+
+A queue only stores requests: ``pop`` hands back every request it was
+given and never drops one itself, since drop decisions belong to
+``should_drop``.  The owning worker counts its outstanding load where a
+request enters or leaves it, so requests must reach a worker's queue
+through ``Worker.enqueue``, never by pushing into the queue directly.
 """
 
 from __future__ import annotations

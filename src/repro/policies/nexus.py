@@ -11,6 +11,10 @@ Two faithful formulations are provided:
   scan the FIFO queue in arrival order with a sliding window equal to the
   batch size, stop at the first position where *all* requests in the
   window can meet the latency objective, and drop everything earlier.
+  The scan runs at t_b, one drawn head at a time: a head is dropped while
+  its window (itself plus the requests queued behind it) holds an
+  infeasible request, so its victims leave through the worker's drop
+  path like every other drop.
 
 Both reproduce Nexus's drop-too-late behaviour: early modules almost
 never trigger the rule because d_k alone rarely exceeds the remaining
@@ -19,11 +23,11 @@ budget there, so drops cluster in the last modules.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
-from ..interfaces import DropContext, DropPolicy, RequestQueue
-from ..simulation.request import DropReason, Request, RequestStatus
+from ..interfaces import DropContext, DropPolicy, FifoQueue, RequestQueue
+from ..simulation.request import DropReason, RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..simulation.module import Module
@@ -40,70 +44,48 @@ class NexusPolicy(DropPolicy):
 
     def make_queue(self, module: "Module") -> RequestQueue:
         if self.windowed:
-            return _NexusScanQueue(module)
+            return _NexusScanQueue()
         return super().make_queue(module)
 
     def should_drop(self, ctx: DropContext) -> DropReason | None:
+        if self.windowed and not self._window_feasible(ctx):
+            return DropReason.ESTIMATED_VIOLATION
         finish_estimate = ctx.expected_start - ctx.request.sent_at + ctx.batch_duration
         if finish_estimate > ctx.slo:
             return DropReason.ESTIMATED_VIOLATION
         return None
 
+    def _window_feasible(self, ctx: DropContext) -> bool:
+        """Whether the drawn head and the batch-size window behind it can
+        all meet their latency objective."""
+        queue = ctx.worker.queue
+        if not isinstance(queue, _NexusScanQueue):
+            # A shared pool whose queue another tenant's policy picked:
+            # there is no arrival-order window to scan.
+            return True
+        module = ctx.module
+        now = ctx.now
+        d_k = module.effective_duration(now)
+        # The window spans requests that any worker may end up batching,
+        # so its expected start is the module's earliest, not this
+        # worker's ``ctx.expected_start``.
+        t_e = min((w.expected_start for w in module.workers), default=now)
+        t_e = max(t_e, now)
+        window = queue.behind_head(max(1, module.target_batch) - 1)
+        for request in chain((ctx.request,), window):
+            if request.status is not RequestStatus.IN_FLIGHT:
+                continue  # cancelled elsewhere: skipped when drawn
+            if t_e - request.sent_at + d_k > request.slo:
+                return False
+        return True
+
     def describe(self) -> str:
         return f"{self.name} [windowed={self.windowed}]"
 
 
-class _NexusScanQueue(RequestQueue):
-    """FIFO queue implementing Nexus's sliding-window scan on pop.
+class _NexusScanQueue(FifoQueue):
+    """Arrival-order queue whose head window the windowed scan reads."""
 
-    On every pop the queue scans from the head with a window of the
-    module's target batch size, drops every request before the first
-    all-feasible window, and hands out the window head.  Requests dropped
-    here are routed through the cluster exactly like policy drops.
-    """
-
-    def __init__(self, module: "Module") -> None:
-        self._module = module
-        self._dq: deque[Request] = deque()
-
-    def push(self, request: Request, now: float) -> None:
-        self._dq.append(request)
-
-    def __len__(self) -> int:
-        return len(self._dq)
-
-    def _feasible(self, request: Request, now: float) -> bool:
-        module = self._module
-        d_k = module.effective_duration(now)
-        # Expected start: the least-loaded worker's current estimate; the
-        # queue cannot know which worker pops, so it uses its own module's
-        # earliest expected start.
-        t_e = min((w.expected_start for w in module.workers), default=now)
-        return max(t_e, now) - request.sent_at + d_k <= request.slo
-
-    def pop(self, now: float) -> Request | None:
-        module = self._module
-        window = max(1, module.target_batch)
-        while self._dq:
-            # Check the window starting at the head.
-            head_ok = True
-            for i, request in enumerate(self._dq):
-                if i >= window:
-                    break
-                if request.status is not RequestStatus.IN_FLIGHT:
-                    continue
-                if not self._feasible(request, now):
-                    head_ok = False
-                    break
-            if head_ok:
-                return self._dq.popleft()
-            # Drop the head and slide the window forward.
-            victim = self._dq.popleft()
-            if victim.status is RequestStatus.IN_FLIGHT:
-                visit = victim.visit(module.spec.id)
-                visit.t_batched = now
-                module.stats.record_drop()
-                module.cluster.drop(
-                    victim, module.spec.id, DropReason.ESTIMATED_VIOLATION
-                )
-        return None
+    def behind_head(self, n: int):
+        """The next ``n`` queued requests, in pop order."""
+        return islice(self._dq, n)

@@ -240,10 +240,7 @@ class FailureInjector:
                 visit.t_batched = None
                 visit.t_exec_start = None
                 visit.t_exec_end = None
-            if module.workers:
-                module.dispatcher.pick(module.workers).enqueue(request)
-            else:
-                module.park(request)  # total outage: replay on recovery
+            module.dispatch(request)  # parks on a total outage
 
     def _recover(self, module_id: str, workers: int) -> None:
         module = self.cluster.modules[module_id]

@@ -24,11 +24,14 @@ token reservation against the profile's per-worker ``kv_capacity``:
 Contract compatibility: the worker keeps the base class's ``queue`` /
 ``forming`` / ``executing`` surface, so dispatchers, draining, scaling
 and :class:`~repro.simulation.failures.FailureInjector` stranding work
-unchanged.  ``forming`` holds requests popped from the queue but blocked
-on cache space (plus preempted requests awaiting resume); ``executing``
-is a :class:`~repro.simulation.worker.Batch` spanning the current
-iteration whose ``requests`` list every running sequence, so a worker
-failure strands *all* of them (their per-worker KV state dies with the
+unchanged.  Its counted ``load`` covers queued, forming and running
+sequences: +1 at enqueue, -1 for each skip, drop, purge or retirement,
+and no change for admission or preemption.  ``forming`` holds requests
+popped from the queue but blocked on cache space (plus preempted
+requests awaiting resume); ``executing`` is a
+:class:`~repro.simulation.worker.Batch` spanning the current iteration
+whose ``requests`` list every running sequence, so a worker failure
+strands *all* of them (their per-worker KV state dies with the
 worker, and generation restarts from scratch on re-dispatch — the sampled
 token lengths on the visit are sticky, so the replay is deterministic).
 """
@@ -63,21 +66,6 @@ class LLMWorker(Worker):
         self._generated: dict[int, int] = {}  # rid -> output tokens produced
         self._need_prefill: list[Request] = []  # admitted but not yet prefilled
 
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def load(self) -> int:
-        return len(self.queue) + len(self.forming) + len(self._running)
-
-    @property
-    def idle(self) -> bool:
-        return (
-            self.executing is None
-            and not self._running
-            and not self.forming
-            and len(self.queue) == 0
-        )
-
     # -- request flow -------------------------------------------------------
 
     def _sample_tokens(self, request: Request) -> None:
@@ -100,6 +88,7 @@ class LLMWorker(Worker):
     def enqueue(self, request: Request) -> None:
         """Accept a dispatched request and advance the engine if idle."""
         self._sample_tokens(request)
+        self.load += 1
         self.queue.push(request, self.sim.now)
         if self.executing is None:
             self._step()
@@ -118,6 +107,7 @@ class LLMWorker(Worker):
             if r.status is in_flight:
                 keep.append(r)
             else:
+                self.load -= 1
                 self.telemetry.skipped_cancelled += 1
                 self._release(r.rid)
                 self._generated.pop(r.rid, None)
@@ -161,6 +151,7 @@ class LLMWorker(Worker):
             if request.status is not in_flight:
                 if from_forming:
                     forming.pop(0)
+                self.load -= 1
                 self.telemetry.skipped_cancelled += 1
                 continue
             self._sample_tokens(request)  # parked arrivals skip enqueue()
@@ -174,6 +165,7 @@ class LLMWorker(Worker):
                 # state, which duplicates never have.
                 if from_forming:
                     forming.pop(0)
+                self.load -= 1
                 self.telemetry.skipped_cancelled += 1
                 continue
             if worst > capacity:
@@ -184,6 +176,7 @@ class LLMWorker(Worker):
                 visit.t_batched = now
                 visit.worker_id = self.worker_id
                 stats.queue_delays.record(now, now - visit.t_received)
+                self.load -= 1
                 self.telemetry.dropped_requests += 1
                 stats.record_drop()
                 module.cluster.drop(
@@ -211,6 +204,7 @@ class LLMWorker(Worker):
                 stats.queue_delays.record(now, now - visit.t_received)
                 reason = module.policy.should_drop(ctx)
                 if reason is not None:
+                    self.load -= 1
                     self.telemetry.dropped_requests += 1
                     stats.record_drop()
                     module.cluster.drop(request, module_id, reason)
@@ -305,6 +299,7 @@ class LLMWorker(Worker):
                     self._release(request.rid)
                     self._generated.pop(request.rid, None)
                     self._running.remove(request)
+                    self.load -= 1
                     self.telemetry.executed_requests += 1
                     retired.append(request)
         # Forward retirees only after all engine bookkeeping is settled:

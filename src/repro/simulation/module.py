@@ -50,14 +50,14 @@ class Module:
         self._next_worker_id = 0
         self._effective_cache: tuple[float, int, float] = (-1.0, 0, 0.0)
         self._parked: list[Request] = []  # arrivals during a total outage
-        # False only when no worker can be draining, letting receive()
+        # False only when no worker can be draining, letting dispatch()
         # skip the per-request candidate scan (the common case: draining
         # only ever starts in drain_worker).  Recomputed lazily once a
         # drain has been requested.
         self._maybe_draining = False
         # Per-app worker quota (app name -> max dispatchable workers).
         # Installed by SharedCluster on shared pools whose tenants declare
-        # quotas; None (the default everywhere else) keeps receive() on
+        # quotas; None (the default everywhere else) keeps dispatch() on
         # its quota-free path.
         self._quota_of: dict[str, int] | None = None
         # Per-hop resilience config (HopResilience), installed by the
@@ -103,7 +103,7 @@ class Module:
             parked, self._parked = self._parked, []
             for request in parked:
                 if request.status is RequestStatus.IN_FLIGHT:
-                    self.dispatcher.pick(self.workers).enqueue(request)
+                    self.dispatch(request)
         return worker
 
     def park(self, request: Request) -> None:
@@ -216,6 +216,29 @@ class Module:
             # Arm the hop's watchdog/hedge timers before dispatch; they
             # fire as plain heap events and no-op lazily if stale.
             self.cluster.resilience.arm(request, self)
+        self.dispatch(request)
+
+    def dispatch(self, request: Request) -> None:
+        """Queue ``request`` at the least-loaded of its :meth:`candidates`.
+
+        The one dispatch path: first arrivals (:meth:`receive`), parked
+        replays, failure stranding, hedges and retries all come through
+        here, so each respects the app's quota and skips draining workers.
+        With no worker at all the request parks until capacity returns.
+        """
+        workers = self.candidates(request)
+        if not workers:
+            self.park(request)  # total outage: wait for recovery
+            return
+        self.dispatcher.pick(workers).enqueue(request)
+
+    def candidates(self, request: Request) -> list[Worker]:
+        """The workers :meth:`dispatch` may hand ``request`` to.
+
+        The app's quota slice of the pool minus its draining workers, or
+        the whole slice when every one of them drains.  Empty only on a
+        total outage.
+        """
         workers = self.workers
         if self._quota_of is not None:
             # A quota confines the app to a prefix of the pool: its
@@ -224,23 +247,15 @@ class Module:
             q = self._quota_of.get(request.app)
             if q is not None and q < len(workers):
                 workers = workers[:q]
-        if not self._maybe_draining:
-            # Fast path: no drain has been requested, every worker is a
-            # candidate — skip the per-request filtering allocation.
-            if not workers:
-                self.park(request)  # total outage: wait for recovery
-                return
-            self.dispatcher.pick(workers).enqueue(request)
-            return
-        candidates = [w for w in workers if not w.draining]
-        if len(candidates) == len(workers) and workers is self.workers:
-            # Only a full-pool scan may clear the flag: a quota slice
-            # proves nothing about the workers it cut off.
-            self._maybe_draining = False  # every drainer has been reaped
-        if not candidates:
-            if not workers:
-                self.park(request)  # total outage: wait for recovery
-                return
-            candidates = workers  # everything draining: least harm
-        worker = self.dispatcher.pick(candidates)
-        worker.enqueue(request)
+        if self._maybe_draining:
+            # Slow path only once a drain was requested: the common case
+            # skips the per-request filtering allocation.
+            candidates = [w for w in workers if not w.draining]
+            if len(candidates) == len(workers) and workers is self.workers:
+                # Only a full-pool scan may clear the flag: a quota slice
+                # proves nothing about the workers it cut off.
+                self._maybe_draining = False  # every drainer was reaped
+            if candidates:
+                return candidates
+            # else everything is draining: least harm is to use it anyway
+        return workers

@@ -181,10 +181,10 @@ class ResilienceManager:
         visit = request.visits.get(module.spec.id)
         if visit is None or visit.t_batched is not None:
             return  # already claimed by a worker: the hedge is moot
-        if len(module.workers) < 2:
-            return  # no second machine to hedge onto
+        if len(module.candidates(request)) < 2:
+            return  # no second machine dispatch may hedge onto
         self.cluster.metrics.res_hedges += 1
-        module.dispatcher.pick(module.workers).enqueue(request)
+        module.dispatch(request)
 
     # -- timeout / retry / fallback ------------------------------------------
 
@@ -247,7 +247,7 @@ class ResilienceManager:
             )
             return
         self.cluster.metrics.res_retries += 1
-        module.dispatcher.pick(module.workers).enqueue(request)
+        module.dispatch(request)
         self.sim.schedule_after(
             hop.timeout, self._deadline, request, module, attempt + 1
         )

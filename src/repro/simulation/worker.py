@@ -51,7 +51,7 @@ class Worker:
 
     __slots__ = (
         "module", "worker_id", "sim", "queue", "forming", "executing",
-        "_draining", "telemetry", "_ctx", "degrade_factor",
+        "load", "_draining", "telemetry", "_ctx", "degrade_factor",
     )
 
     def __init__(self, module: "Module", worker_id: int) -> None:
@@ -61,6 +61,11 @@ class Worker:
         self.queue = module.policy.make_queue(module)
         self.forming: list[Request] = []
         self.executing: Batch | None = None
+        # Outstanding requests (queued + forming + executing), counted
+        # where a request enters or leaves the worker so least-loaded
+        # dispatch reads a plain int.  Moves between the queue, forming
+        # and executing leave it unchanged.
+        self.load = 0
         self._draining = False
         # Straggler injection (FailureEvent kind="degrade"): batches run
         # this many times slower while the fault is active.  1.0 — the
@@ -96,21 +101,9 @@ class Worker:
     # -- introspection ------------------------------------------------------
 
     @property
-    def load(self) -> int:
-        """Outstanding work (used by the least-loaded dispatcher)."""
-        executing = self.executing
-        n = len(self.queue) + len(self.forming)
-        if executing is None:
-            return n
-        return n + len(executing.requests)
-
-    @property
     def idle(self) -> bool:
-        return (
-            self.executing is None
-            and not self.forming
-            and len(self.queue) == 0
-        )
+        """Nothing queued, forming or executing (running, on LLM workers)."""
+        return self.load == 0
 
     @property
     def expected_start(self) -> float:
@@ -121,6 +114,7 @@ class Worker:
 
     def enqueue(self, request: Request) -> None:
         """Accept a dispatched request and try to advance batching."""
+        self.load += 1
         self.queue.push(request, self.sim.now)
         self._draw()
 
@@ -159,11 +153,13 @@ class Worker:
                 # A sibling DAG branch already dropped this request; skip it
                 # without spending GPU time (its earlier work is already
                 # accounted as invalid).
+                self.load -= 1
                 self.telemetry.skipped_cancelled += 1
                 continue
             if resilient and request.visits[module_id].t_batched is not None:
                 # A duplicate dispatch lost the race: another worker (or a
                 # fallback) already claimed this hop.
+                self.load -= 1
                 self.telemetry.skipped_cancelled += 1
                 continue
             executing = self.executing
@@ -181,6 +177,7 @@ class Worker:
             visit.worker_id = self.worker_id
             record_queue_delay(now, now - visit.t_received)
             if reason is not None:
+                self.load -= 1
                 self.telemetry.dropped_requests += 1
                 stats.record_drop()
                 module.cluster.drop(request, module_id, reason)
@@ -224,6 +221,7 @@ class Worker:
         if batch.aborted:
             return  # the worker died mid-execution (failure injection)
         self.executing = None
+        self.load -= len(batch.requests)
         for request in batch.requests:
             self.module.cluster.on_module_done(request, self.module)
         if self.forming:

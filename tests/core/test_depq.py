@@ -1,114 +1,145 @@
-"""Tests for the min-max-heap DEPQ, including a model-based property test."""
+"""Tests for the deadline DEPQ every PARD worker queues in.
+
+``DeadlineDepqQueue`` keeps one heap oriented toward the end its module's
+priority mode pops and re-orients when the mode flips.  A stub controller
+sets the mode by hand; the model test flips it at random points between
+pushes and pops and checks every pop against a sorted-list oracle over
+``(deadline, seq)``.
+"""
 
 from __future__ import annotations
 
-import pytest
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.depq import MinMaxHeap
+from repro.core.priority import DeadlineDepqQueue, PriorityMode
+from repro.simulation.request import Request
+
+LBF, HBF = PriorityMode.LBF, PriorityMode.HBF
+
+
+class StubController:
+    """The one controller method the queue reads; the mode is set by hand."""
+
+    def __init__(self) -> None:
+        self.mode = LBF
+
+    def current(self, module_id: str) -> str:
+        return self.mode
+
+
+def make_queue() -> tuple[DeadlineDepqQueue, StubController]:
+    """The queue PARD gives every worker, with a hand-driven mode."""
+    controller = StubController()
+    module = SimpleNamespace(spec=SimpleNamespace(id="m"))
+    return DeadlineDepqQueue(module, controller), controller
+
+
+def push_all(queue: DeadlineDepqQueue, deadlines) -> list[Request]:
+    requests = [Request(sent_at=d, slo=0.0) for d in deadlines]
+    for r in requests:
+        queue.push(r, 0.0)
+    return requests
+
+
+def drain(queue: DeadlineDepqQueue) -> list[float]:
+    return [queue.pop(0.0).deadline for _ in range(len(queue))]
 
 
 def test_empty_heap():
-    h: MinMaxHeap[str] = MinMaxHeap()
-    assert len(h) == 0
-    assert not h
-    with pytest.raises(IndexError):
-        h.peek_min()
-    with pytest.raises(IndexError):
-        h.pop_max()
+    queue, controller = make_queue()
+    assert len(queue) == 0
+    assert queue.pop(0.0) is None
+    controller.mode = HBF
+    assert queue.pop(0.0) is None
 
 
 def test_single_element_is_both_min_and_max():
-    h: MinMaxHeap[str] = MinMaxHeap()
-    h.push(1.0, "a")
-    assert h.peek_min() == "a"
-    assert h.peek_max() == "a"
-    assert h.min_key() == h.max_key() == 1.0
+    for mode in (LBF, HBF):
+        queue, controller = make_queue()
+        (request,) = push_all(queue, [1.0])
+        controller.mode = mode
+        assert queue.pop(0.0) is request
 
 
 def test_pop_min_ascending():
-    h: MinMaxHeap[int] = MinMaxHeap()
-    for k in [5, 3, 8, 1, 9, 2]:
-        h.push(float(k), k)
-    assert [h.pop_min() for _ in range(len(h))] == [1, 2, 3, 5, 8, 9]
+    queue, _ = make_queue()
+    push_all(queue, [5.0, 3.0, 8.0, 1.0, 9.0, 2.0])
+    assert drain(queue) == [1.0, 2.0, 3.0, 5.0, 8.0, 9.0]
 
 
 def test_pop_max_descending():
-    h: MinMaxHeap[int] = MinMaxHeap()
-    for k in [5, 3, 8, 1, 9, 2]:
-        h.push(float(k), k)
-    assert [h.pop_max() for _ in range(len(h))] == [9, 8, 5, 3, 2, 1]
+    queue, controller = make_queue()
+    push_all(queue, [5.0, 3.0, 8.0, 1.0, 9.0, 2.0])
+    controller.mode = HBF
+    assert drain(queue) == [9.0, 8.0, 5.0, 3.0, 2.0, 1.0]
 
 
 def test_alternating_pops():
-    h: MinMaxHeap[int] = MinMaxHeap()
-    for k in range(10):
-        h.push(float(k), k)
-    assert h.pop_min() == 0
-    assert h.pop_max() == 9
-    assert h.pop_min() == 1
-    assert h.pop_max() == 8
-    assert len(h) == 6
+    queue, controller = make_queue()
+    push_all(queue, [float(k) for k in range(10)])
+    popped = []
+    for mode in (LBF, HBF, LBF, HBF):
+        controller.mode = mode
+        popped.append(queue.pop(0.0).deadline)
+    assert popped == [0.0, 9.0, 1.0, 8.0]
+    assert len(queue) == 6
 
 
 def test_equal_keys_pop_min_is_fifo():
-    h: MinMaxHeap[str] = MinMaxHeap()
-    h.push(1.0, "first")
-    h.push(1.0, "second")
-    h.push(1.0, "third")
-    assert h.pop_min() == "first"
-    assert h.pop_min() == "second"
+    """Equal deadlines pop in push order under LBF, reverse under HBF."""
+    queue, controller = make_queue()
+    first, second, third = push_all(queue, [1.0, 1.0, 1.0])
+    assert queue.pop(0.0) is first
+    controller.mode = HBF
+    assert queue.pop(0.0) is third
+    assert queue.pop(0.0) is second
 
 
-def test_items_returns_everything():
-    h: MinMaxHeap[int] = MinMaxHeap()
-    for k in range(5):
-        h.push(float(k), k)
-    assert sorted(h.items()) == [0, 1, 2, 3, 4]
-
-
-@settings(max_examples=200)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["push", "pop_min", "pop_max"]),
-                  st.floats(min_value=-1e6, max_value=1e6)),
-        min_size=1,
-        max_size=200,
-    )
+OPS = st.lists(
+    st.one_of(
+        # Few distinct deadlines, so ties (broken by push order) are common.
+        st.tuples(st.just("push"), st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("pop"), st.none()),
+        st.tuples(st.just("mode"), st.sampled_from([LBF, HBF])),
+    ),
+    max_size=300,
 )
+
+
+@settings(max_examples=300)
+@given(OPS)
 def test_property_matches_sorted_list_model(ops):
-    """Drive the heap and a sorted-list oracle with the same operations."""
-    heap: MinMaxHeap[float] = MinMaxHeap()
-    model: list[float] = []
-    counter = 0
-    for op, key in ops:
+    """LBF pops the minimum (deadline, seq) — FIFO among equal deadlines —
+    and HBF the maximum — LIFO among equal deadlines — across any mix of
+    pushes, pops and mode flips."""
+    queue, controller = make_queue()
+    model: list[tuple[float, int, Request]] = []  # sorted by (deadline, seq)
+    for seq, (op, arg) in enumerate(ops):
         if op == "push":
-            heap.push(key, key)
-            model.append(key)
-            counter += 1
-        elif op == "pop_min" and model:
-            expected = min(model)
-            got = heap.pop_min()
-            assert got == expected
-            model.remove(expected)
-        elif op == "pop_max" and model:
-            expected = max(model)
-            got = heap.pop_max()
-            assert got == expected
-            model.remove(expected)
-        assert len(heap) == len(model)
-        if model:
-            assert heap.min_key() == min(model)
-            assert heap.max_key() == max(model)
+            (request,) = push_all(queue, [arg * 0.25])
+            model.append((request.deadline, seq, request))
+            model.sort(key=lambda e: e[:2])
+        elif op == "pop":
+            got = queue.pop(0.0)
+            if not model:
+                assert got is None
+            else:
+                end = -1 if controller.mode == HBF else 0
+                assert got is model.pop(end)[2]
+        else:
+            controller.mode = arg
+        assert len(queue) == len(model)
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
-def test_property_heapsort_both_directions(keys):
-    up: MinMaxHeap[float] = MinMaxHeap()
-    down: MinMaxHeap[float] = MinMaxHeap()
-    for k in keys:
-        up.push(k, k)
-        down.push(k, k)
-    assert [up.pop_min() for _ in range(len(keys))] == sorted(keys)
-    assert [down.pop_max() for _ in range(len(keys))] == sorted(keys, reverse=True)
+def test_property_heapsort_both_directions(deadlines):
+    up, _ = make_queue()
+    down, controller = make_queue()
+    push_all(up, deadlines)
+    push_all(down, deadlines)
+    controller.mode = HBF
+    assert drain(up) == sorted(deadlines)
+    assert drain(down) == sorted(deadlines, reverse=True)

@@ -11,9 +11,9 @@ from repro.workload.replay import replay
 from ..conftest import make_cluster, tiny_chain_app
 
 
-def run(policy, rate=120.0, duration=8.0, slo=0.2):
+def run(policy, rate=120.0, duration=8.0, slo=0.2, workers=1):
     app = tiny_chain_app(n=3, slo=slo)
-    cluster = make_cluster(policy, app=app, workers=1,
+    cluster = make_cluster(policy, app=app, workers=workers,
                            batch_plan={"m1": 4, "m2": 4, "m3": 4})
     replay(constant_trace(rate, duration), cluster)
     return cluster
@@ -46,6 +46,19 @@ class TestWindowedNexus:
         # Both formulations shed comparable load under the same overload.
         assert abs(s_plain.drop_rate - s_scan.drop_rate) < 0.30
         assert s_scan.goodput > 0
+
+    def test_scan_drops_leave_through_the_worker(self):
+        """The scan is a drop decision at t_b, not a queue side effect:
+        the worker that drew each victim counts it, and every worker's
+        load returns to zero once the run is over."""
+        cluster = run(NexusPolicy(windowed=True), rate=240.0, workers=2)
+        modules = cluster.modules.values()
+        assert sum(m.stats.drops for m in modules) > 0
+        for module in modules:
+            assert module.stats.drops == sum(
+                w.telemetry.dropped_requests for w in module.workers
+            )
+            assert all(w.load == 0 and w.idle for w in module.workers)
 
     def test_default_is_per_request(self):
         assert NexusPolicy().windowed is False

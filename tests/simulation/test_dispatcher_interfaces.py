@@ -41,10 +41,11 @@ class TestDispatchers:
 
     def test_least_loaded_prefers_empty_worker(self):
         workers = self.workers()
-        # Load worker 0 with queued requests.
+        # Load worker 0 through enqueue, which counts its load.
         for i in range(3):
             r = Request(sent_at=0.0, slo=5.0)
-            workers[0].queue.push(r, 0.0)
+            r.begin_visit("m1", 0.0)
+            workers[0].enqueue(r)
         pick = LeastLoadedDispatcher().pick(workers)
         assert pick.worker_id in (1, 2)
 

@@ -172,6 +172,37 @@ class TestInjection:
             for r in cluster.metrics.records
         )
 
+    def test_stranded_requests_skip_a_draining_worker(self):
+        """Stranding goes through the module's one dispatch path, so a
+        draining survivor — idle, hence least loaded — gets none of the
+        killed worker's requests."""
+        app = tiny_chain_app(n=1, slo=5.0)
+        cluster = make_cluster(NaivePolicy(), app=app, workers=3,
+                               batch_plan={"m1": 4})
+        m1 = cluster.modules["m1"]
+        drainer = m1.workers[0]
+        drainer.draining = True
+        injector = FailureInjector(
+            cluster,
+            events=[FailureEvent(time=0.05, module_id="m1", workers=1,
+                                 downtime=1.0)],
+        )
+        injector.schedule_all()
+        probe = {}
+
+        def before() -> None:
+            # The injector kills via workers.pop() — the last worker.
+            probe["doomed_load"] = m1.workers[-1].load
+
+        cluster.sim.schedule(0.0499, before)
+        replay(constant_trace(600.0, 0.1), cluster)
+        assert probe["doomed_load"] > 0
+        assert drainer.telemetry.batches == 0
+        records = cluster.metrics.records
+        assert records and all(
+            r.status is RequestStatus.COMPLETED for r in records
+        )
+
     def test_failure_causes_slo_violations_without_dropping(self):
         cluster, _ = run_with_failures(
             NaivePolicy(),

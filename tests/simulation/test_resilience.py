@@ -228,6 +228,28 @@ class TestTimeoutRetry:
         )
 
 
+class TestDispatchSkipsDrainingWorkers:
+    """Retries and hedges go through the module's one dispatch path, so
+    they never land on a draining worker — even an idle, least-loaded
+    one."""
+
+    @pytest.mark.parametrize("hop, counter", [
+        ({"timeout": 0.1, "retry": {"max": 2, "base": 0.02}}, "res_retries"),
+        ({"hedge": 0.05}, "res_hedges"),
+    ])
+    def test_rescue_avoids_the_drainer(self, hop, counter):
+        cluster = resilient_cluster({"m1": hop}, workers=3)
+        drainer = cluster.modules["m1"].workers[0]
+        drainer.draining = True
+        replay(constant_trace(250.0, 2.0), cluster)
+        assert getattr(cluster.metrics, counter) > 0
+        telemetry = drainer.telemetry
+        assert telemetry.batches == 0
+        assert telemetry.skipped_cancelled == 0
+        assert telemetry.dropped_requests == 0
+        assert_exactly_once(cluster)
+
+
 class TestHedge:
     def test_hedges_fire_and_requests_complete_once(self):
         cluster = resilient_cluster(
@@ -241,6 +263,25 @@ class TestHedge:
         cluster = resilient_cluster({"m1": {"hedge": 0.05}}, workers=1)
         replay(constant_trace(400.0, 3.0), cluster)
         assert cluster.metrics.res_hedges == 0
+        assert_exactly_once(cluster)
+
+    @pytest.mark.parametrize("limit", ["draining", "quota"])
+    def test_one_dispatchable_worker_never_hedges(self, limit):
+        """A hedge needs a second worker that dispatch may use: with the
+        only other worker draining, or a quota of one, the hedge would
+        land on the worker that holds the original, so it is neither sent
+        nor counted."""
+        cluster = resilient_cluster({"m1": {"hedge": 0.05}}, workers=2)
+        m1 = cluster.modules["m1"]
+        if limit == "draining":
+            m1.workers[1].draining = True
+        else:
+            # Shared pools install quotas; a dedicated cluster's requests
+            # belong to the unnamed app.
+            m1._quota_of = {"": 1}
+        replay(constant_trace(400.0, 3.0), cluster)
+        assert cluster.metrics.res_hedges == 0
+        assert m1.workers[1].telemetry.batches == 0
         assert_exactly_once(cluster)
 
 
