@@ -203,6 +203,10 @@ class BurstSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("start", "length", "factor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"burst {name} must be finite, got {value!r}")
         if self.start < 0:
             raise ValueError("burst start must be >= 0")
         if self.length <= 0:

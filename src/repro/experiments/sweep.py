@@ -55,7 +55,7 @@ from .runner import (
 from .scenario import MultiScenario, Scenario, _canonical
 
 #: Fingerprint schema version; bump when the cached payload shape changes.
-_CACHE_SCHEMA = 2
+_CACHE_SCHEMA = 3
 
 _source_digest_cache: str | None = None
 

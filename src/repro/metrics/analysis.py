@@ -110,13 +110,14 @@ def merge_collectors(
     The aggregate view of a shared (multi-tenant) cluster run: all the
     per-window and per-module analyses in this module work unchanged on
     the merged records.  Records are concatenated in input order; the
-    originals are not modified.
+    originals are not modified.  The merge is lean, and holds no records,
+    when any part is lean: its records could not cover every request.
     """
     if isinstance(collectors, Mapping):
         parts = list(collectors.values())
     else:
         parts = list(collectors)
-    merged = MetricsCollector()
+    merged = MetricsCollector(lean=any(c.lean for c in parts))
     # The aggregate only carries a goodput spec when every part declares
     # the same one; the counters are additive either way (each part's
     # requests were judged against that part's own constraints).
@@ -124,7 +125,8 @@ def merge_collectors(
     if len(specs) == 1:
         merged.goodput = specs.pop()
     for collector in parts:
-        merged.records.extend(collector.records)
+        if not merged.lean:
+            merged.records.extend(collector.records)
         merged.submitted += collector.submitted
         merged.res_retries += collector.res_retries
         merged.res_hedges += collector.res_hedges

@@ -3,18 +3,25 @@
 The collector is the single source of truth for every metric the paper
 reports: goodput, drop rate, invalid rate (wasted GPU time), per-module
 drop distribution, transient rates and latency decompositions.
+
+Records are named tuples (:class:`~typing.NamedTuple`): immutable,
+attribute-accessed, and cheap to build and to pickle.  A full-fidelity
+sweep cell carries tens of thousands of them through the process pool
+and the on-disk cell cache, and the generic pickle path of a frozen
+slotted dataclass calls ``dataclasses.fields()`` once per object on
+both dump and load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import islice, repeat
+from typing import NamedTuple
 
 from ..simulation.request import DropReason, Request, RequestStatus
 from .goodput import GoodputSpec, constraint_checks
 
 
-@dataclass(frozen=True, slots=True)
-class VisitRecord:
+class VisitRecord(NamedTuple):
     """Latency decomposition of one executed module visit."""
 
     module_id: str
@@ -25,8 +32,7 @@ class VisitRecord:
     batch_size: int
 
 
-@dataclass(frozen=True, slots=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Immutable outcome of one request (terminal state)."""
 
     rid: int
@@ -38,7 +44,7 @@ class RequestRecord:
     gpu_time: float
     dropped_at_module: str | None
     drop_reason: DropReason | None
-    visits: tuple[VisitRecord, ...] = field(default_factory=tuple)
+    visits: tuple[VisitRecord, ...] = ()
     # Token-level (LLM) outcomes; defaults keep fixed-duration records lean.
     first_token_at: float | None = None
     last_token_at: float | None = None
@@ -57,6 +63,10 @@ class RequestRecord:
     def wasted_gpu_time(self) -> float:
         """GPU time that produced no SLO-compliant result."""
         return self.gpu_time if self.counts_as_dropped else 0.0
+
+
+#: Position of ``visits`` in a :class:`RequestRecord` and its pickled row.
+_VISITS = RequestRecord._fields.index("visits")
 
 
 def _visit_records(request: Request) -> tuple[VisitRecord, ...]:
@@ -91,6 +101,11 @@ class MetricsCollector:
     :class:`~repro.metrics.analysis.Summary` use this to skip the
     dominant per-request allocation cost; per-window series, per-module
     drop shares and latency CDFs need full records and are unavailable.
+
+    A collector pickles its records as two lists of plain tuples (see
+    :meth:`__getstate__`), so its pickle holds the same few class
+    references however many records it carries.  Sweep results reach the
+    process pool and the on-disk cell cache this way.
     """
 
     def __init__(
@@ -125,6 +140,36 @@ class MetricsCollector:
         self.res_hedges = 0
         self.res_timeouts = 0
         self.res_fallbacks = 0
+
+    def __getstate__(self) -> dict:
+        """Pickle state with ``records`` as flat rows of plain tuples.
+
+        ``record_rows`` holds one row per record, in field order, with the
+        record's visit count in the ``visits`` slot; ``visit_rows`` holds
+        one row per executed visit, in record order.  A plain tuple loads
+        without the constructor call a pickled NamedTuple makes per
+        object; :meth:`__setstate__` rebuilds the records with
+        ``tuple.__new__``.
+        """
+        state = self.__dict__.copy()
+        records = state.pop("records")
+        state["record_rows"] = [
+            (*r[:_VISITS], len(r.visits), *r[_VISITS + 1:]) for r in records
+        ]
+        state["visit_rows"] = [tuple(v) for r in records for v in r.visits]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        rows = state.pop("record_rows")
+        new = tuple.__new__
+        visits = map(new, repeat(VisitRecord), state.pop("visit_rows"))
+        self.__dict__.update(state)
+        self.records = [
+            new(RequestRecord, (*row[:_VISITS],
+                                tuple(islice(visits, row[_VISITS])),
+                                *row[_VISITS + 1:]))
+            for row in rows
+        ]
 
     def record_submitted(self) -> None:
         self.submitted += 1

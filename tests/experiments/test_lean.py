@@ -70,6 +70,14 @@ class TestLeanParity:
         assert s_lean.good == s_full.good
         assert s_lean.invalid_rate == pytest.approx(s_full.invalid_rate)
 
+    def test_merged_lean_collectors_stay_lean(self):
+        a = run_scenario(_scenario(), lean=True).collector
+        b = run_scenario(replace(_scenario(), seed=1), lean=True).collector
+        merged = merge_collectors([a, b])
+        assert merged.lean
+        assert merged.records == []
+        assert len(merged) == a.count + b.count
+
 
 class TestLeanCells:
     def test_cell_summary_identical(self):

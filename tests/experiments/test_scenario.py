@@ -289,6 +289,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             BurstSpec(start=0.0, length=0.0, factor=2.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["start", "length", "factor"])
+    def test_burst_rejects_non_finite(self, field, value):
+        burst = {"start": 2.0, "length": 1.0, "factor": 2.0, field: value}
+        with pytest.raises(ValueError, match=f"burst {field} must be finite"):
+            Scenario.from_dict({
+                "app": {"name": "tm"},
+                "trace": {"name": "poisson", "duration": 6, "base_rate": 30,
+                          "bursts": [burst]},
+                "policy": "PARD",
+            })
+
     def test_trace_scale_thinning_only(self):
         with pytest.raises(ValueError, match="scale"):
             TraceSpec(scale=2.0)

@@ -36,6 +36,17 @@ def tiny_cells(policies=("Naive", "Nexus"), seeds=(0,)) -> list[SweepCell]:
     ]
 
 
+def _rebased(result: CellResult) -> list:
+    """The cell's records, with rids counted from the run's first request.
+
+    Request ids come from a process-wide counter, so a pool worker numbers
+    a cell's requests from another start than the serial process does.
+    """
+    records = result.collector.records
+    first = min(r.rid for r in records)
+    return [r._replace(rid=r.rid - first) for r in records]
+
+
 class TestGrid:
     def test_cross_product(self):
         cells = sweep_grid(
@@ -100,6 +111,8 @@ class TestDeterminism:
         for a, b, c in zip(serial, two, four):
             assert a.summary == b.summary == c.summary
             assert a.cell.label() == b.cell.label() == c.cell.label()
+            assert a.collector.records
+            assert _rebased(a) == _rebased(b) == _rebased(c)
 
     def test_cell_is_picklable(self):
         cell = tiny_cells()[0]
@@ -115,6 +128,8 @@ class TestCache:
         assert all(r.cached for r in second)
         for a, b in zip(first, second):
             assert a.summary == b.summary
+            assert a.collector.records
+            assert a.collector.records == b.collector.records
         assert len(list(tmp_path.rglob("*.pkl"))) == len(cells)
 
     def test_corrupt_entry_recomputed(self, tmp_path):
