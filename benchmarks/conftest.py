@@ -4,7 +4,7 @@ The heavyweight artifact is the 12-workload x 4-system sweep used by
 Figures 8, 9 and 10.  It now runs through the parallel sweep subsystem
 (:mod:`repro.experiments.sweep`): figure tests prefetch their whole grid so
 the cells fan out over a process pool, and completed cells land in an
-on-disk cache keyed by a stable config fingerprint, so repeated benchmark
+on-disk cache keyed by a stable scenario fingerprint, so repeated benchmark
 invocations skip everything already computed.
 
 Environment knobs:
@@ -27,7 +27,7 @@ from typing import Iterable
 
 import pytest
 
-from repro.experiments import run_experiment, standard_config
+from repro.experiments import run_scenario, standard_scenario
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.sweep import CellResult, SweepCell, run_sweep
 
@@ -47,16 +47,16 @@ def run_workload(app: str, trace: str, system: str, **overrides) -> ExperimentRe
     """
     overrides.setdefault("duration", BENCH_DURATION)
     overrides.setdefault("utilization", BENCH_UTIL)
-    config = standard_config(app, trace, seed=BENCH_SEED, **overrides)
-    return run_experiment(config, system)
+    return run_scenario(
+        standard_scenario(app, trace, system, seed=BENCH_SEED, **overrides)
+    )
 
 
 def _bench_cell(app: str, trace: str, system: str) -> SweepCell:
-    config = standard_config(
-        app, trace, seed=BENCH_SEED,
+    return SweepCell(scenario=standard_scenario(
+        app, trace, system, seed=BENCH_SEED,
         duration=BENCH_DURATION, utilization=BENCH_UTIL,
-    )
-    return SweepCell(config=config, policy=system)
+    ))
 
 
 class WorkloadSweep:

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.experiments.runner import ExperimentConfig, build_cluster, run_experiment
+from repro.experiments import AppSpec, Scenario, build_cluster, run_scenario
 from repro.metrics import summarize
-from repro.pipeline.applications import Application
-from repro.pipeline.spec import ModuleSpec, PipelineSpec
-from repro.policies.naive import NaivePolicy
+from repro.pipeline.spec import ModuleSpec
 from repro.simulation.request import RequestStatus
 from repro.simulation.routing import ProbabilisticRouter
 from repro.workload.replay import replay
@@ -27,10 +25,11 @@ from .conftest import BENCH_SEED
 SYSTEMS = ("PARD", "Clipper++", "Nexus", "Naive")
 
 
-def diamond_app(slo: float = 0.5) -> Application:
-    spec = PipelineSpec(
-        name="diamond-of-diamonds",
-        modules=[
+def diamond_app(slo: float = 0.5) -> AppSpec:
+    return AppSpec(
+        pipeline="diamond-of-diamonds",
+        slo=slo,
+        modules=(
             ModuleSpec("m1", "object_detection", subs=("a", "b")),
             ModuleSpec("a", "face_recognition", pres=("m1",), subs=("j1",)),
             ModuleSpec("b", "text_recognition", pres=("m1",), subs=("j1",)),
@@ -40,15 +39,15 @@ def diamond_app(slo: float = 0.5) -> Application:
                        subs=("j2",)),
             ModuleSpec("d", "pose_recognition", pres=("j1",), subs=("j2",)),
             ModuleSpec("j2", "eye_tracking", pres=("c", "d")),
-        ],
+        ),
     )
-    return Application(spec=spec, slo=slo)
 
 
-def _config(seed: int = BENCH_SEED) -> ExperimentConfig:
-    return ExperimentConfig(
-        app="diamond", custom_app=diamond_app(), trace="tweet",
-        base_rate=40.0, duration=30.0, seed=seed, workers=1,
+def _scenario(system: str, seed: int = BENCH_SEED) -> Scenario:
+    return Scenario(
+        app=diamond_app(),
+        trace={"name": "tweet", "base_rate": 40.0, "duration": 30.0},
+        policy=system, seed=seed, workers=1,
     )
 
 
@@ -68,7 +67,7 @@ def _check_token_invariants(collector) -> None:
 def test_diamond_merge_systems(benchmark):
     def sweep():
         return {
-            system: run_experiment(_config(), system)
+            system: run_scenario(_scenario(system))
             for system in SYSTEMS
         }
 
@@ -96,13 +95,11 @@ def test_diamond_merge_systems(benchmark):
 
 def test_diamond_merge_dynamic_paths():
     """Per-request single-branch routing at both forks stays accounted."""
-    config = _config()
-    trace = config.resolve_trace()
-    cluster = build_cluster(config, NaivePolicy(), trace)
+    cluster, trace = build_cluster(_scenario("Naive"))
     cluster.router = ProbabilisticRouter(seed=BENCH_SEED)
     replay(trace, cluster)
     summary = summarize(cluster.metrics, duration=trace.duration)
-    assert summary.total == len(trace.arrivals)
+    assert summary.total == trace.count()
     _check_token_invariants(cluster.metrics)
     assert not cluster._join_arrived
     assert not cluster._join_expected

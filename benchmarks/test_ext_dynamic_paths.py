@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from repro.core.policy import PardPolicy
 from repro.core.state_planner import PathMode
-from repro.experiments import standard_config
-from repro.experiments.runner import build_cluster
+from repro.experiments import build_cluster, standard_scenario
 from repro.metrics import summarize
 from repro.simulation.routing import ProbabilisticRouter
 from repro.workload.replay import replay
@@ -24,11 +23,12 @@ from .conftest import BENCH_SEED
 
 
 def _run(dynamic: bool, path_mode: str, seed: int = BENCH_SEED):
-    config = standard_config("da", "tweet", seed=seed, duration=60.0,
-                             scaling=False)
-    trace = config.resolve_trace()
-    policy = PardPolicy(samples=2000, path_mode=path_mode, seed=seed)
-    cluster = build_cluster(config, policy, trace)
+    # path_mode is not a declared policy parameter, so the policy is live.
+    cluster, trace = build_cluster(
+        standard_scenario("da", "tweet", seed=seed, duration=60.0,
+                          scaling=False),
+        policy=PardPolicy(samples=2000, path_mode=path_mode, seed=seed),
+    )
     if dynamic:
         cluster.router = ProbabilisticRouter(seed=seed)
     replay(trace, cluster)

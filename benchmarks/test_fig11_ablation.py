@@ -12,9 +12,8 @@ arrival-order and fixed-priority variants drop 0.5x-2.2x more.
 
 from __future__ import annotations
 
-from repro.experiments import run_experiment, standard_config
+from repro.experiments import run_scenario, standard_scenario
 from repro.metrics import drops_per_module
-from repro.policies.ablations import ABLATIONS
 
 from .conftest import BENCH_DURATION, BENCH_SEED
 
@@ -35,13 +34,11 @@ ORDER = (
 
 
 def test_fig11_ablations(benchmark):
-    config = standard_config(
-        "lv", "tweet", seed=BENCH_SEED, duration=BENCH_DURATION
-    )
-
     def sweep():
         return {
-            name: run_experiment(config, ABLATIONS[name](seed=BENCH_SEED))
+            name: run_scenario(standard_scenario(
+                "lv", "tweet", name, seed=BENCH_SEED, duration=BENCH_DURATION
+            ))
             for name in ORDER
         }
 

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments import run_experiment, standard_config
+from repro.experiments import run_scenario, standard_scenario
 from repro.metrics import consumed_budget_per_module, latency_component_cdf
-from repro.policies.ablations import ABLATIONS
 
 from .conftest import BENCH_DURATION, BENCH_SEED
 
 
 def _run(name: str):
-    config = standard_config("lv", "tweet", seed=BENCH_SEED, duration=BENCH_DURATION)
-    return run_experiment(config, ABLATIONS[name](seed=BENCH_SEED))
+    return run_scenario(standard_scenario(
+        "lv", "tweet", name, seed=BENCH_SEED, duration=BENCH_DURATION
+    ))
 
 
 def test_fig12a_consumed_budget_per_module(benchmark):
@@ -33,7 +33,7 @@ def test_fig12a_consumed_budget_per_module(benchmark):
         total += budgets[mid]
         print(f"  {mid}: {budgets[mid] * 1000:6.1f} ms (cumulative "
               f"{total * 1000:6.1f} ms)")
-    slo = result.config.resolve_app().slo
+    slo = result.cluster.app.slo
     print(f"  SLO: {slo * 1000:.0f} ms")
     assert 0 < total <= slo  # good requests stay within budget on average
 
@@ -88,7 +88,7 @@ def test_fig12c_queueing_under_burst(benchmark):
 def test_fig12d_remaining_budget_variability(benchmark):
     result = benchmark.pedantic(lambda: _run("PARD"), rounds=1, iterations=1)
     print("\nFigure 12d: remaining budget of consecutive requests at M2/M3")
-    slo = result.config.resolve_app().slo
+    slo = result.cluster.app.slo
     for mid in ("m2", "m3"):
         samples = []
         for r in sorted(result.collector.records, key=lambda r: r.sent_at):

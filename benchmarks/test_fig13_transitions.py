@@ -7,21 +7,18 @@ instant variant while tracking the same load signal.
 
 from __future__ import annotations
 
-from repro.experiments import run_experiment, standard_config
-from repro.policies.ablations import ABLATIONS
+from repro.experiments import run_scenario, standard_scenario
 
 from .conftest import BENCH_DURATION, BENCH_SEED
 
 
 def test_fig13_transition_counts(benchmark):
-    config = standard_config(
-        "lv", "tweet", seed=BENCH_SEED, duration=BENCH_DURATION
-    )
-
     def both():
-        return (
-            run_experiment(config, ABLATIONS["PARD"](seed=BENCH_SEED)),
-            run_experiment(config, ABLATIONS["PARD-instant"](seed=BENCH_SEED)),
+        return tuple(
+            run_scenario(standard_scenario(
+                "lv", "tweet", name, seed=BENCH_SEED, duration=BENCH_DURATION
+            ))
+            for name in ("PARD", "PARD-instant")
         )
 
     pard, instant = benchmark.pedantic(both, rounds=1, iterations=1)

@@ -10,28 +10,22 @@
 
 from __future__ import annotations
 
-from repro.core.policy import PardPolicy
-from repro.experiments import (
-    SYSTEM_FACTORIES,
-    run_experiment,
-    standard_config,
-)
-from repro.experiments.runner import ExperimentConfig
-from repro.workload.generators import poisson_trace
+from repro.experiments import Scenario, run_scenario, standard_scenario
+from repro.experiments.runner import ExperimentConfig, build_cluster
 
 from .conftest import BENCH_SEED
 
 STRESS_WORKERS = {"m1": 2, "m2": 2, "m3": 2, "m4": 1, "m5": 2}
 
 
-def _stress_config(rate: float, duration: float = 30.0) -> ExperimentConfig:
-    return ExperimentConfig(
-        app="lv",
-        trace="tweet",  # ignored: custom_trace below
-        custom_trace=poisson_trace(rate, duration, seed=BENCH_SEED),
+def _stress_scenario(rate: float, system: str,
+                     duration: float = 30.0) -> Scenario:
+    return Scenario(
+        app={"name": "lv"},
+        trace={"name": "poisson", "base_rate": rate, "duration": duration},
+        policy=system,
         workers=dict(STRESS_WORKERS),
         seed=BENCH_SEED,
-        duration=duration,
     )
 
 
@@ -44,9 +38,7 @@ def test_fig14a_stress(benchmark):
         out = {}
         for rate in rates:
             for s in systems:
-                res = run_experiment(
-                    _stress_config(rate), SYSTEM_FACTORIES[s](BENCH_SEED)
-                )
+                res = run_scenario(_stress_scenario(rate, s))
                 out[(rate, s)] = res.summary.goodput
         return out
 
@@ -83,20 +75,20 @@ def test_fig14b_slo_sensitivity(benchmark):
     # Hold the workload and worker pool fixed across SLO settings (they are
     # calibrated once, at the application's default 500 ms SLO); only the
     # latency objective — and hence every system's batch plan — varies.
-    base = standard_config("lv", "tweet", seed=BENCH_SEED, duration=40.0)
-    rate = base.resolve_base_rate()
-    workers = base.resolve_workers()
+    base = standard_scenario("lv", "tweet", seed=BENCH_SEED, duration=40.0)
+    rate = ExperimentConfig(base).resolve_base_rate()
+    cluster, _ = build_cluster(base)
+    workers = {mid: m.n_workers for mid, m in cluster.modules.items()}
 
     def sweep():
         out = {}
         for slo in slos:
-            config = standard_config(
-                "lv", "tweet", seed=BENCH_SEED, duration=40.0, slo=slo,
-                utilization=None, base_rate=rate, workers=dict(workers),
-                scaling=False,
-            )
             for s in systems:
-                res = run_experiment(config, SYSTEM_FACTORIES[s](BENCH_SEED))
+                res = run_scenario(standard_scenario(
+                    "lv", "tweet", s, seed=BENCH_SEED, duration=40.0,
+                    slo=slo, utilization=None, base_rate=rate,
+                    workers=dict(workers), scaling=False,
+                ))
                 out[(slo, s)] = res.summary.drop_rate
         return out
 
@@ -119,11 +111,11 @@ def test_fig14c_lambda_sensitivity(benchmark):
     lams = (0.0, 0.05, 0.1, 0.25, 0.5, 1.0)
 
     def sweep():
-        config = standard_config("lv", "tweet", seed=BENCH_SEED, duration=40.0)
         return {
-            lam: run_experiment(
-                config, PardPolicy(lam=lam, samples=2000, seed=BENCH_SEED)
-            ).summary.drop_rate
+            lam: run_scenario(standard_scenario(
+                "lv", "tweet", {"name": "PARD", "params": {"lam": lam}},
+                seed=BENCH_SEED, duration=40.0,
+            )).summary.drop_rate
             for lam in lams
         }
 
@@ -144,13 +136,10 @@ def test_fig14d_window_sensitivity(benchmark):
         out = {}
         for trace in ("wiki", "tweet", "azure"):
             for w in windows:
-                config = standard_config(
+                res = run_scenario(standard_scenario(
                     "lv", trace, seed=BENCH_SEED, duration=40.0,
                     stats_window=w,
-                )
-                res = run_experiment(
-                    config, PardPolicy(samples=2000, seed=BENCH_SEED)
-                )
+                ))
                 out[(trace, w)] = res.summary.drop_rate
         return out
 

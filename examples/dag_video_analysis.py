@@ -12,23 +12,25 @@ Run:  python examples/dag_video_analysis.py
 
 from __future__ import annotations
 
-from repro import NexusPolicy, PardPolicy, run_experiment, standard_config
+from dataclasses import replace
+
+from repro import run_scenario, standard_scenario
 from repro.simulation.request import RequestStatus
 
 
 def main() -> None:
-    config = standard_config(
-        app="da", trace="azure", duration=90.0, seed=11, utilization=0.85
+    scenario = standard_scenario(
+        "da", "azure", duration=90.0, seed=11, utilization=0.85
     )
-    app = config.resolve_app()
+    app = scenario.build_application()
     print("da pipeline structure:")
     for m in app.spec.modules:
         arrow = f" -> {list(m.subs)}" if m.subs else " (exit)"
         print(f"  {m.id} [{m.model}]{arrow}")
     print(f"SLO: {app.slo * 1000:.0f} ms\n")
 
-    for policy in (PardPolicy(seed=11), NexusPolicy()):
-        result = run_experiment(config, policy)
+    for policy in ({"name": "PARD", "params": {"samples": 10_000}}, "Nexus"):
+        result = run_scenario(replace(scenario, policy=policy))
         s = result.summary
         # Wasted cross-branch work: GPU time burnt by requests that were
         # dropped after executing at least one module.

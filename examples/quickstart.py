@@ -10,30 +10,26 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import (
-    ClipperPlusPlusPolicy,
-    NaivePolicy,
-    NexusPolicy,
-    PardPolicy,
-    run_experiment,
-    standard_config,
-)
+from repro import run_scenario, standard_scenario
 
 
 def main() -> None:
-    config = standard_config(
-        app="lv", trace="tweet", duration=60.0, seed=7, utilization=0.9
-    )
-    print(f"workload: lv x tweet, base rate ~{config.resolve_base_rate():.0f} req/s")
-    print(f"{'policy':12s} {'goodput':>9s} {'drop rate':>10s} {'invalid rate':>13s}")
     policies = [
-        PardPolicy(seed=7),
-        NexusPolicy(),
-        ClipperPlusPlusPolicy(),
-        NaivePolicy(),
+        # PardPolicy's research-grade sampler size, not the registry's 2000.
+        {"name": "PARD", "params": {"samples": 10_000}},
+        "Nexus",
+        "Clipper++",
+        "Naive",
     ]
-    for policy in policies:
-        result = run_experiment(config, policy)
+    results = [
+        run_scenario(standard_scenario(
+            "lv", "tweet", policy, duration=60.0, seed=7, utilization=0.9
+        ))
+        for policy in policies
+    ]
+    print(f"workload: lv x tweet, base rate ~{results[0].base_rate:.0f} req/s")
+    print(f"{'policy':12s} {'goodput':>9s} {'drop rate':>10s} {'invalid rate':>13s}")
+    for result in results:
         s = result.summary
         print(
             f"{result.policy_name:12s} {s.goodput:7.1f}/s "

@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import NexusPolicy, PardPolicy, run_experiment, standard_config
+from repro import run_scenario, standard_scenario
 from repro.metrics import drop_rate_series, drops_per_module
 
 
 def main() -> None:
-    config = standard_config(
-        app="tm", trace="tweet", duration=90.0, seed=3, utilization=0.9
-    )
     print("tm x tweet with a 2x mid-run burst\n")
-    for policy in (PardPolicy(seed=3), NexusPolicy()):
-        result = run_experiment(config, policy)
+    for policy in ({"name": "PARD", "params": {"samples": 10_000}}, "Nexus"):
+        result = run_scenario(standard_scenario(
+            "tm", "tweet", policy, duration=90.0, seed=3, utilization=0.9
+        ))
         s = result.summary
         shares = drops_per_module(result.collector, result.module_ids)
         times, rates = drop_rate_series(result.collector, window=5.0)

@@ -2,15 +2,19 @@
 
 Public API quick tour::
 
-    from repro import (
-        PardPolicy, NexusPolicy, ClipperPlusPlusPolicy, NaivePolicy,
-        get_application, get_trace,
-        ExperimentConfig, run_experiment, summarize,
-    )
+    from repro import Scenario, run_scenario, standard_scenario
 
-    config = ExperimentConfig(app="lv", trace="tweet", base_rate=60, duration=120)
-    result = run_experiment(config, PardPolicy())
+    # One of the paper's 12 workloads, calibrated to 90% utilization.
+    result = run_scenario(standard_scenario("lv", "tweet", policy="PARD"))
     print(result.summary)
+
+    # Any run is a plain-data Scenario; this one pins the trace rate.
+    scenario = Scenario(
+        app={"name": "lv"},
+        trace={"name": "tweet", "base_rate": 60, "duration": 120},
+        policy={"name": "PARD", "params": {"lam": 0.1}},
+    )
+    print(run_scenario(scenario).summary)
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every figure and table.
@@ -27,15 +31,12 @@ from .core import (
 )
 from .experiments import (
     AppSpec,
-    ExperimentConfig,
     ExperimentResult,
     Scenario,
     ScalingSpec,
     TraceSpec,
-    compare_policies,
-    run_experiment,
     run_scenario,
-    standard_config,
+    standard_scenario,
 )
 from .metrics import MetricsCollector, Summary, summarize
 from .pipeline import Application, ModelProfile, PipelineSpec, get_application
@@ -63,7 +64,6 @@ __all__ = [
     "ClipperPlusPlusPolicy",
     "Cluster",
     "DropPolicy",
-    "ExperimentConfig",
     "ExperimentResult",
     "MetricsCollector",
     "ModelProfile",
@@ -85,14 +85,12 @@ __all__ = [
     "Trace",
     "TraceSpec",
     "WaitMode",
-    "compare_policies",
     "get_application",
     "get_trace",
     "make_ablation",
     "make_policy",
-    "run_experiment",
     "run_scenario",
-    "standard_config",
+    "standard_scenario",
     "summarize",
     "__version__",
 ]

@@ -22,17 +22,19 @@ import sys
 from .experiments.configs import (
     SYSTEM_FACTORIES,
     known_policies,
-    make_policy,
-    standard_config,
+    standard_scenario,
 )
-from .experiments.runner import run_experiment, run_multi_scenario, run_scenario
+from .experiments.runner import (
+    ExperimentResult,
+    run_multi_scenario,
+    run_scenario,
+)
 from .experiments.scenario import (
     MultiScenario,
     Scenario,
     SweepSpec,
     load_scenario_file,
-    multi_scenario_grid,
-    scenario_grid,
+    scenario_axes,
 )
 from .experiments.sweep import (
     SweepEvent,
@@ -46,7 +48,6 @@ from .experiments.sweep import (
     summary_table,
     sweep_grid,
 )
-from .interfaces import DropPolicy
 from .metrics.export import Artifact, multi_result_tables, scenario_result_tables
 from .metrics.report import (
     comparison_table,
@@ -61,13 +62,6 @@ from .pipeline.llm_profiles import is_llm_application
 from .policies.ablations import ABLATIONS
 from .policies.registry import ADMISSIONS, POLICIES, known_admissions
 from .workload.generators import known_traces
-
-
-def _make_policy(name: str, seed: int) -> DropPolicy:
-    try:
-        return make_policy(name, seed)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
 
 
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
@@ -86,48 +80,55 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
                    help="disable the reactive worker scaler")
 
 
-def _config(args: argparse.Namespace):
-    overrides = dict(
-        duration=args.duration,
-        seed=args.seed,
-        utilization=args.utilization,
-        scaling=not args.no_scaling,
-    )
-    if args.slo is not None:
-        overrides["slo"] = args.slo
-    return standard_config(args.app, args.trace, **overrides)
+def _scenario(args: argparse.Namespace, policy: str) -> Scenario:
+    try:
+        return standard_scenario(
+            args.app, args.trace, policy, seed=args.seed,
+            duration=args.duration, utilization=args.utilization,
+            scaling=not args.no_scaling, slo=args.slo,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _config(args)
-    policy = _make_policy(args.policy, args.seed)
-    result = run_experiment(config, policy)
-    print(f"{args.app} x {args.trace} for {args.duration:.0f}s "
-          f"(base rate ~{config.resolve_base_rate():.0f} req/s)")
-    print(comparison_table({result.policy_name: result},
-                           markdown=args.markdown))
-    print()
-    print(per_module_drop_table({result.policy_name: result},
-                                markdown=args.markdown))
-    print()
-    print(policy_descriptions({result.policy_name: result}))
+    _check_policies([args.policy])
+    scenario = _scenario(args, args.policy)
+    result = run_scenario(scenario)
+    _print_results(scenario.label(), {result.policy_name: result},
+                   args.markdown)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _config(args)
-    results = {}
-    names = args.policies.split(",") if args.policies else list(SYSTEM_FACTORIES)
-    for name in names:
-        results[name] = run_experiment(config, _make_policy(name, args.seed))
-    print(f"{args.app} x {args.trace} for {args.duration:.0f}s "
-          f"(base rate ~{config.resolve_base_rate():.0f} req/s)")
-    print(comparison_table(results, markdown=args.markdown))
+    names = _csv(args.policies) or list(SYSTEM_FACTORIES)
+    _check_policies(names)
+    results = {name: run_scenario(_scenario(args, name)) for name in names}
+    _print_results(f"{args.app}-{args.trace}-s{args.seed}", results,
+                   args.markdown)
+    return 0
+
+
+def _print_results(
+    label: str, results: dict[str, ExperimentResult], markdown: bool
+) -> None:
+    """The console report of single-cluster runs of one workload."""
+    trace = next(iter(results.values())).trace
+    print(f"scenario {label}: trace {trace.name} "
+          f"({trace.mean_rate:.0f} req/s mean, {trace.duration:.0f}s)")
+    print(comparison_table(results, markdown=markdown))
     print()
-    print(per_module_drop_table(results, markdown=args.markdown))
+    print(per_module_drop_table(results, markdown=markdown))
+    reports = {name: r.goodput for name, r in results.items()
+               if r.goodput is not None}
+    if reports:
+        print("\ngoodput under declared SLO constraints:")
+        print(goodput_table(reports, markdown=markdown))
     print()
     print(policy_descriptions(results))
-    return 0
+    for result in results.values():
+        for line in result.failure_log:
+            print(f"  {line}")
 
 
 def _csv(text: str) -> list[str]:
@@ -160,12 +161,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not apps or not traces:
         raise SystemExit("empty sweep grid: --apps and --traces must be non-empty")
     _check_policies(policies)
-    overrides = dict(duration=args.duration, utilization=args.utilization,
-                     scaling=not args.no_scaling)
-    if args.slo is not None:
-        overrides["slo"] = args.slo
     try:
-        cells = sweep_grid(apps, traces, policies, seeds=seeds, **overrides)
+        cells = sweep_grid(
+            apps, traces, policies, seeds=seeds, duration=args.duration,
+            utilization=args.utilization, scaling=not args.no_scaling,
+            slo=args.slo,
+        )
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     return _run_cells(cells, args)
@@ -283,22 +284,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     if fmt in ("csv", "json"):
         _write_result_artifact(scenario, scenario_result_tables(result), fmt)
         return 0
-    trace = result.trace
-    print(f"scenario {scenario.label()}: trace {trace.name} "
-          f"({trace.mean_rate:.0f} req/s mean, {trace.duration:.0f}s)")
-    print(comparison_table({result.policy_name: result},
-                           markdown=markdown))
-    print()
-    print(per_module_drop_table({result.policy_name: result},
-                                markdown=markdown))
-    if result.goodput is not None:
-        print("\ngoodput under declared SLO constraints:")
-        print(goodput_table({result.policy_name: result.goodput},
-                            markdown=markdown))
-    print()
-    print(policy_descriptions({result.policy_name: result}))
-    for line in result.failure_log:
-        print(f"  {line}")
+    _print_results(scenario.label(), {result.policy_name: result}, markdown)
     return 0
 
 
@@ -386,7 +372,7 @@ def cmd_scenario_sweep(args: argparse.Namespace) -> int:
     seeds = _parse_seeds(args.seeds)
     # A SweepSpec expands its own declared axes first; --policies/--seeds
     # then multiply every grid member.  Overlapping axes are rejected:
-    # scenario_grid replaces the policy/seed wholesale, which would
+    # the policy/seed axes replace the policy/seed wholesale, which would
     # silently collapse the file's declared variants into duplicates.
     # Expansion and validation happen exactly once, here (SweepSpec.
     # validate() would expand the grid a second time).
@@ -411,14 +397,10 @@ def cmd_scenario_sweep(args: argparse.Namespace) -> int:
             base.validate()
     except (ValueError, KeyError, TypeError) as exc:
         raise SystemExit(f"invalid scenario file {args.file}: {exc}") from None
-    grid = []
-    for base in bases:
-        if isinstance(base, MultiScenario):
-            grid.extend(
-                multi_scenario_grid(base, policies=policies, seeds=seeds)
-            )
-        else:
-            grid.extend(scenario_grid(base, policies=policies, seeds=seeds))
+    # An empty flag keeps each scenario's own policy or seed.
+    axes = [(axis, values) for axis, values
+            in (("policy", policies), ("seed", seeds)) if values]
+    grid = [spec for base in bases for spec in scenario_axes(base, axes)]
     return _run_cells(scenario_cells(grid), args)
 
 

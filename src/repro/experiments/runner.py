@@ -1,4 +1,4 @@
-"""Experiment harness: one call from (app, trace, policy) to metrics.
+"""Experiment harness: one :class:`Scenario` in, metrics out.
 
 Rates are expressed per-run rather than hard-coded so benches can scale the
 paper's 64-GPU workloads down to what a CI box simulates in seconds while
@@ -17,33 +17,21 @@ from typing import Callable, Sequence
 from ..interfaces import DropPolicy
 from ..metrics.analysis import Summary, merge_collectors, summarize
 from ..metrics.collector import MetricsCollector
-from ..metrics.goodput import GoodputReport, GoodputSpec, goodput_report
-from ..pipeline.applications import Application, get_application
-from ..pipeline.profiles import DEFAULT_PROFILES, ProfileRegistry
+from ..metrics.goodput import GoodputReport, goodput_report
+from ..pipeline.profiles import ProfileRegistry
 from ..policies.registry import make_admission, make_policy
-from ..policies.spec import PolicySpec
 from ..simulation.batching import plan_batch_sizes, provision_workers
 from ..simulation.cluster import Cluster
 from ..simulation.engine import Simulator
 from ..simulation.failures import FailureEvent, FailureInjector
 from ..simulation.rng import RngStreams
-from ..simulation.routing import PathRouter
 from ..simulation.scaling import ReactiveScaler
 from ..simulation.tenancy import SharedCluster, Tenant
 from ..workload.generators import TRACES
-from ..workload.replay import ArrivalPump, replay
+from ..workload.replay import drive
 from ..workload.source import ArrivalSource
 from ..workload.trace import Trace
-from .scenario import (
-    MultiScenario,
-    Scenario,
-    ScalingSpec,
-    TraceSpec,
-    _thaw,
-    freeze_trace_args,
-)
-
-PolicyFactory = Callable[[int], DropPolicy]
+from .scenario import MultiScenario, Scenario, ScalingSpec, TraceSpec, _thaw
 
 
 @lru_cache(maxsize=256)
@@ -60,10 +48,11 @@ def _trace_shape_factor(
     as the real one — shape-changing args (a step trace's rate multipliers,
     a tweet burst override) would otherwise skew calibration badly.
     The generator *object* is part of the key so re-registering a new
-    generator under an old name cannot serve a stale shape.  Calibrated
-    configs consult the shape from ``resolve_workers``,
-    ``resolve_base_rate`` *and* ``resolve_trace``; without memoization
-    every call re-simulated the full-duration pilot.
+    generator under an old name cannot serve a stale shape.  A calibrated
+    run consults the shape from ``resolve_base_rate`` *and*
+    ``resolve_workers``, and every seed-sharing cell of a sweep grid
+    consults the same pilot; without memoization every call re-simulated
+    the full-duration pilot.
     """
     kwargs = {k: _thaw(v) for k, v in args}
     pilot = generator(
@@ -80,92 +69,24 @@ def _trace_shape_factor(
     return shape
 
 
-@dataclass
+def _declared_rate(trace: TraceSpec) -> float:
+    """A trace's explicit base rate, or the 60 req/s default."""
+    return 60.0 if trace.base_rate is None else trace.base_rate
+
+
 class ExperimentConfig:
-    """Everything needed to run one (app, trace, policy) combination."""
+    """Calibration and provisioning of one :class:`Scenario`.
 
-    app: str  # "tm" | "lv" | "gm" | "da" (or a custom Application)
-    trace: str  # "wiki" | "tweet" | "azure" (or a custom Trace)
-    base_rate: float = 60.0  # trace base rate (req/s)
-    duration: float = 120.0  # trace duration (s)
-    seed: int = 0
-    workers: int | dict[str, int] | None = None  # explicit worker counts
-    utilization: float | None = None  # calibrate base_rate to this load
-    provision_rate: float | None = None  # workers sized for this rate
-    provision_headroom: float = 1.0
-    slo: float | None = None  # override the application SLO
-    sync_interval: float = 1.0
-    stats_window: float = 5.0
-    drain: float = 5.0
-    scaling: bool = False  # enable the reactive scaler with cold starts
-    trace_args: tuple = ()  # frozen (key, value) generator kwargs
-    trace_scale: float = 1.0  # post-generation thinning factor (<= 1)
-    trace_seed: int | None = None  # pin the workload seed (default: seed)
-    custom_app: Application | None = None
-    custom_trace: Trace | ArrivalSource | None = None
-    registry: ProfileRegistry = field(default_factory=lambda: DEFAULT_PROFILES)
+    The runner's private resolution step: the application, profile
+    registry and batch plan resolve once, here, and the base rate and
+    worker counts are derived from them.
+    """
 
-    def __post_init__(self) -> None:
-        # Normalize generator kwargs to hashable frozen pairs: the memoized
-        # pilot-shape lookup keys on them, and users naturally pass dicts
-        # or list-valued args (a step trace's rates).
-        self.trace_args = freeze_trace_args(self.trace_args)
-
-    def resolve_app(self) -> Application:
-        app = self.custom_app or get_application(self.app)
-        if self.slo is not None:
-            app = Application(spec=app.spec, slo=self.slo)
-        return app
-
-    def resolve_trace(self) -> Trace | ArrivalSource:
-        """``custom_trace``, or the named trace built as a scenario's
-        :class:`TraceSpec` would build it, materialized."""
-        if self.custom_trace is not None:
-            return self.custom_trace
-        spec = TraceSpec(
-            name=self.trace, duration=self.duration, seed=self.trace_seed,
-            args=self.trace_args, scale=self.trace_scale,
-        )
-        return spec.build_source(
-            self.resolve_base_rate(), default_seed=self.seed
-        ).materialize()
-
-    def _trace_seed(self) -> int:
-        return self.seed if self.trace_seed is None else self.trace_seed
-
-    def resolve_workers(
-        self, trace: Trace | ArrivalSource | None = None
-    ) -> int | dict[str, int]:
-        """Explicit worker counts, or a plan provisioned for the trace.
-
-        ``trace`` lets callers that already built the (possibly composed)
-        trace provision for its actual mean rate instead of regenerating
-        the named base trace.
-        """
-        if self.workers is not None:
-            return self.workers
-        app = self.resolve_app()
-        plan = plan_batch_sizes(app.spec, self.registry, app.slo)
-        if self.utilization is not None:
-            # Calibrated mode: the bottleneck module gets a two-worker pool
-            # at the target utilization; every other module is provisioned
-            # so its own utilization lands just below capacity too, the way
-            # the paper's per-module scaling keeps all modules near their
-            # rate (otherwise drops artificially concentrate at the single
-            # bottleneck).
-            mean_rate = self.resolve_base_rate() * self._trace_shape()
-            out: dict[str, int] = {}
-            for m in app.spec.modules:
-                per_worker = self.registry.get(m.model).throughput(plan[m.id])
-                need = mean_rate / (0.97 * per_worker)
-                out[m.id] = max(1, math.ceil(need))
-            return out
-        if trace is None:
-            trace = self.resolve_trace()
-        rate = self.provision_rate or trace.mean_rate
-        return provision_workers(
-            app.spec, self.registry, plan, rate, headroom=self.provision_headroom
-        )
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self.app = scenario.build_application()
+        self.registry = scenario.build_registry()
+        self.plan = plan_batch_sizes(self.app.spec, self.registry, self.app.slo)
 
     def resolve_base_rate(self) -> float:
         """Base rate, calibrated to ``utilization`` of capacity when set.
@@ -174,63 +95,95 @@ class ExperimentConfig:
         trace's mean-rate-to-base-rate shape factor (measured on a cheap
         pilot trace) maps capacity to the generator's ``base_rate`` knob.
         """
-        if self.utilization is None:
-            return self.base_rate
-        app = self.resolve_app()
-        plan = plan_batch_sizes(app.spec, self.registry, app.slo)
+        s = self.scenario
+        if s.utilization is None:
+            return _declared_rate(s.trace)
 
         def count(module_id: str) -> int:
             # Explicit worker counts cap capacity; without any, calibration
             # assumes the two-worker bottleneck pool resolve_workers builds.
-            if isinstance(self.workers, dict):
-                return self.workers[module_id]
-            if isinstance(self.workers, int):
-                return self.workers
+            if isinstance(s.workers, dict):
+                return s.workers[module_id]
+            if isinstance(s.workers, int):
+                return s.workers
             return 2
 
         capacity = min(
-            count(m.id) * self.registry.get(m.model).throughput(plan[m.id])
-            for m in app.spec.modules
+            count(m.id) * self.registry.get(m.model).throughput(self.plan[m.id])
+            for m in self.app.spec.modules
         )
-        shape = self._trace_shape()
-        return capacity * self.utilization / shape
+        return capacity * s.utilization / self._trace_shape()
+
+    def resolve_workers(
+        self, base_rate: float, base: ArrivalSource
+    ) -> int | dict[str, int]:
+        """Explicit worker counts, or a plan provisioned for the workload.
+
+        ``base`` is the steady workload (bursts excluded): auto-provisioning
+        sizes the cluster for it, since seeing the burst-inflated mean
+        would de-fang the very overload the scenario declares.
+        """
+        s = self.scenario
+        if s.workers is not None:
+            return s.workers
+        if s.utilization is not None:
+            # Calibrated mode: the bottleneck module gets a two-worker pool
+            # at the target utilization; every other module is provisioned
+            # so its own utilization lands just below capacity too, the way
+            # the paper's per-module scaling keeps all modules near their
+            # rate (otherwise drops artificially concentrate at the single
+            # bottleneck).
+            mean_rate = base_rate * self._trace_shape()
+            out: dict[str, int] = {}
+            for m in self.app.spec.modules:
+                per_worker = self.registry.get(m.model).throughput(self.plan[m.id])
+                need = mean_rate / (0.97 * per_worker)
+                out[m.id] = max(1, math.ceil(need))
+            return out
+        return provision_workers(
+            self.app.spec, self.registry, self.plan,
+            s.provision_rate or base.mean_rate,
+            headroom=s.provision_headroom,
+        )
 
     def _trace_shape(self) -> float:
-        """Mean-rate-to-base-rate factor of the configured trace.
+        """Mean-rate-to-base-rate factor of the declared trace.
 
         Thinning scales the realized mean rate linearly, so it folds
         straight into the shape factor — calibration then targets the
         utilization of the trace actually replayed.
         """
-        if self.custom_trace is not None:
-            return 1.0
-        generator = TRACES.get(self.trace)
+        trace = self.scenario.trace
+        generator = TRACES.get(trace.name)
         if generator is None:
             raise KeyError(
-                f"unknown trace {self.trace!r}; known: {sorted(TRACES)}"
+                f"unknown trace {trace.name!r}; known: {sorted(TRACES)}"
             )
-        return self.trace_scale * _trace_shape_factor(
-            generator, self.trace, self.duration, self._trace_seed(),
-            self.trace_args,
+        seed = self.scenario.seed if trace.seed is None else trace.seed
+        return trace.scale * _trace_shape_factor(
+            generator, trace.name, trace.duration, seed, trace.args,
         )
 
 
 @dataclass
 class ExperimentResult:
-    """Run output: config, policy name, collector and summary."""
+    """Run output: scenario, policy name, collector and summary."""
 
-    config: ExperimentConfig
+    scenario: Scenario
     policy_name: str
     collector: MetricsCollector
     summary: Summary
     cluster: Cluster
-    trace: Trace | ArrivalSource
+    trace: ArrivalSource
+    #: The trace base rate replayed (calibrated when the scenario sets
+    #: ``utilization``).
+    base_rate: float
     failure_log: list[str] = field(default_factory=list)
     #: Structured fault timeline (the source of ``failure_log``'s rendered
     #: strings), exportable via ``repro.metrics.export.fault_table``.
     fault_records: list = field(default_factory=list)
-    #: Goodput-under-constraints report; None unless the scenario (or
-    #: caller) declared token-level SLO constraints.
+    #: Goodput-under-constraints report; None unless the scenario
+    #: declared token-level SLO constraints.
     goodput: GoodputReport | None = None
 
     @property
@@ -238,83 +191,68 @@ class ExperimentResult:
         return self.cluster.spec.module_ids
 
 
-def build_cluster(
-    config: ExperimentConfig,
-    policy: DropPolicy,
-    trace: Trace | ArrivalSource | None = None,
-    lean: bool = False,
-    goodput: GoodputSpec | None = None,
-    router: PathRouter | None = None,
-    resilience: dict | None = None,
-) -> Cluster:
-    """Construct the provisioned cluster for a config (no trace replayed).
-
-    ``lean=True`` collects streaming summary counters only (no per-request
-    records) — see :class:`~repro.metrics.collector.MetricsCollector`.
-    ``goodput`` arms the collector's token-SLO counters; ``router``
-    overrides static fan-out at DAG forks; ``resilience`` installs per-hop
-    :class:`~repro.simulation.resilience.HopResilience` policies.
-    """
-    app = config.resolve_app()
-    if trace is None:
-        trace = config.resolve_trace()
-    plan = plan_batch_sizes(app.spec, config.registry, app.slo)
-    workers = config.resolve_workers(trace)
-    sim = Simulator()
+def _build(
+    scenario: Scenario, policy: DropPolicy | None, lean: bool
+) -> tuple[Cluster, ArrivalSource, float]:
+    """(cluster, composed workload, base rate) for one scenario."""
+    config = ExperimentConfig(scenario)
+    base_rate = config.resolve_base_rate()
+    # Provisioning counts the base source (bursts excluded); replay pulls
+    # the composed source chunk by chunk.
+    base = scenario.trace.build_source_base(base_rate, default_seed=scenario.seed)
+    source = scenario.trace.overlay_source(base, default_seed=scenario.seed)
     metrics = (
-        MetricsCollector(lean=lean, goodput=goodput)
-        if (lean or goodput is not None) else None
+        MetricsCollector(lean=lean, goodput=scenario.goodput)
+        if (lean or scenario.goodput is not None) else None
     )
-    return Cluster(
-        sim=sim,
-        app=app,
-        policy=policy,
-        workers=workers,
+    cluster = Cluster(
+        sim=Simulator(),
+        app=config.app,
+        policy=(
+            make_policy(scenario.policy, scenario.seed)
+            if policy is None else policy
+        ),
+        workers=config.resolve_workers(base_rate, base),
         registry=config.registry,
-        batch_plan=plan,
+        batch_plan=config.plan,
         metrics=metrics,
-        rng=RngStreams(seed=config.seed),
-        sync_interval=config.sync_interval,
-        stats_window=config.stats_window,
-        router=router,
-        resilience=resilience,
+        rng=RngStreams(seed=scenario.seed),
+        sync_interval=scenario.sync_interval,
+        stats_window=scenario.stats_window,
+        router=(
+            None if scenario.router is None
+            else scenario.router.build(scenario.seed)
+        ),
+        resilience=scenario.resilience_map(),
     )
+    return cluster, source, base_rate
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    policy: DropPolicy | str | PolicySpec,
-    failures: Sequence[FailureEvent] = (),
-    scaling: ScalingSpec | None = None,
-    trace: Trace | ArrivalSource | None = None,
-    lean: bool = False,
-    goodput: GoodputSpec | None = None,
-    router: PathRouter | None = None,
-    resilience: dict | None = None,
-) -> ExperimentResult:
-    """Replay the configured trace through a freshly provisioned cluster.
+def build_cluster(
+    scenario: Scenario, policy: DropPolicy | None = None, lean: bool = False
+) -> tuple[Cluster, ArrivalSource]:
+    """The provisioned cluster for a scenario, plus the workload it replays.
 
-    ``policy`` may be a constructed :class:`DropPolicy`, a registered
-    policy name or a :class:`~repro.policies.spec.PolicySpec`; the latter
-    two are built seeded from ``config.seed`` — the forms sweep workers
-    use, since plain data pickles and closures do not.  ``failures`` are
-    armed before replay; ``scaling`` overrides the bare ``config.scaling``
-    bool with a full :class:`ScalingSpec`; ``trace`` substitutes a
-    pre-built trace (the scenario path's composed workload).  ``lean``
-    keeps summary counters only (identical :class:`Summary`, no
-    per-request records) — for sweeps and benchmarks that never read
-    them.
+    Nothing is replayed yet: callers drive the returned source into the
+    cluster (:func:`~repro.workload.replay.replay`) after any changes of
+    their own.  ``policy`` replaces the scenario's declared policy with a
+    live one, for policies no :class:`PolicySpec` can declare.
+    ``lean=True`` collects streaming summary counters only (no
+    per-request records) — see
+    :class:`~repro.metrics.collector.MetricsCollector`.
     """
-    if isinstance(policy, (str, PolicySpec)):
-        policy = make_policy(policy, config.seed)
-    if trace is None:
-        trace = config.resolve_trace()
-    cluster = build_cluster(
-        config, policy, trace, lean=lean, goodput=goodput, router=router,
-        resilience=resilience,
-    )
-    if scaling is None:
-        scaling = ScalingSpec(enabled=config.scaling)
+    cluster, source, _ = _build(scenario, policy, lean)
+    return cluster, source
+
+
+def _simulate(
+    cluster: Cluster | SharedCluster,
+    scaling: ScalingSpec,
+    failures: Sequence[FailureEvent],
+    feeds: Sequence[tuple[ArrivalSource, Callable[[float], object]]],
+    until: float,
+) -> FailureInjector | None:
+    """Arm the scaler and failure schedule, then drive ``feeds`` to drain."""
     if scaling.enabled:
         # Field-for-field forwarding: every ScalingSpec knob except the
         # enable flag is a ReactiveScaler constructor parameter.
@@ -325,54 +263,8 @@ def run_experiment(
     if failures:
         injector = FailureInjector(cluster, events=list(failures))
         injector.schedule_all()
-    replay(trace, cluster, drain=config.drain)
-    return ExperimentResult(
-        config=config,
-        policy_name=policy.name,
-        collector=cluster.metrics,
-        summary=summarize(cluster.metrics, duration=trace.duration),
-        cluster=cluster,
-        trace=trace,
-        failure_log=list(injector.log) if injector is not None else [],
-        fault_records=list(injector.records) if injector is not None else [],
-        goodput=goodput_report(cluster.metrics, duration=trace.duration),
-    )
-
-
-def scenario_config(scenario: Scenario) -> ExperimentConfig:
-    """The :class:`ExperimentConfig` shim equivalent of a scenario.
-
-    Scenarios are the declarative source of truth; the config is the
-    resolved in-memory build plan the cluster machinery consumes.  Inline
-    pipelines surface as ``custom_app`` here — but unlike user-supplied
-    live objects they originate from plain data, so the scenario they came
-    from still pickles and fingerprints.
-    """
-    app = scenario.build_application()
-    return ExperimentConfig(
-        app=scenario.app.name or app.name,
-        trace=scenario.trace.name,
-        base_rate=(
-            scenario.trace.base_rate
-            if scenario.trace.base_rate is not None else 60.0
-        ),
-        duration=scenario.trace.duration,
-        seed=scenario.seed,
-        workers=scenario.workers,
-        utilization=scenario.utilization,
-        provision_rate=scenario.provision_rate,
-        provision_headroom=scenario.provision_headroom,
-        slo=scenario.app.slo,
-        sync_interval=scenario.sync_interval,
-        stats_window=scenario.stats_window,
-        drain=scenario.drain,
-        scaling=scenario.scaling.enabled,
-        trace_args=scenario.trace.args,
-        trace_scale=scenario.trace.scale,
-        trace_seed=scenario.trace.seed,
-        custom_app=None if scenario.app.name is not None else app,
-        registry=scenario.build_registry(),
-    )
+    drive(cluster, feeds, until)
+    return injector
 
 
 def run_scenario(scenario: Scenario, lean: bool = False) -> ExperimentResult:
@@ -386,32 +278,22 @@ def run_scenario(scenario: Scenario, lean: bool = False) -> ExperimentResult:
     ``lean`` collects summary counters only (no per-request records).
     """
     scenario.validate()
-    config = scenario_config(scenario)
-    # Provisioning counts the base source (bursts excluded); replay pulls
-    # the composed source chunk by chunk.
-    base = scenario.trace.build_source_base(
-        config.resolve_base_rate(), default_seed=scenario.seed
+    cluster, trace, base_rate = _build(scenario, None, lean)
+    injector = _simulate(
+        cluster, scenario.scaling, scenario.failures,
+        [(trace, cluster.submit_now)], trace.duration + scenario.drain,
     )
-    trace = scenario.trace.overlay_source(base, default_seed=scenario.seed)
-    if (config.workers is None and config.utilization is None
-            and config.provision_rate is None and base.mean_rate > 0):
-        # Auto-provisioning sizes the cluster for the steady workload;
-        # seeing the burst-inflated mean would de-fang the very overload
-        # the scenario declares.
-        config.provision_rate = base.mean_rate
-    return run_experiment(
-        config,
-        scenario.policy,
-        failures=scenario.failures,
-        scaling=scenario.scaling,
+    return ExperimentResult(
+        scenario=scenario,
+        policy_name=cluster.policy.name,
+        collector=cluster.metrics,
+        summary=summarize(cluster.metrics, duration=trace.duration),
+        cluster=cluster,
         trace=trace,
-        lean=lean,
-        goodput=scenario.goodput,
-        router=(
-            None if scenario.router is None
-            else scenario.router.build(scenario.seed)
-        ),
-        resilience=scenario.resilience_map(),
+        base_rate=base_rate,
+        failure_log=list(injector.log) if injector is not None else [],
+        fault_records=list(injector.records) if injector is not None else [],
+        goodput=goodput_report(cluster.metrics, duration=trace.duration),
     )
 
 
@@ -453,7 +335,7 @@ def _tenant_workload(
     ``weight`` scales the declared base rate; ``seed`` is the effective
     (shared-seed-shifted) tenant seed.
     """
-    base_rate = scenario_config(scenario).base_rate * weight
+    base_rate = _declared_rate(scenario.trace) * weight
     base = scenario.trace.build_source_base(base_rate, default_seed=seed)
     return base, scenario.trace.overlay_source(base, default_seed=seed)
 
@@ -535,9 +417,8 @@ def run_multi_scenario(multi: MultiScenario, lean: bool = False) -> MultiResult:
             {t.label(): t.weight for t in multi.tenants},
             seed=multi.seed,
         )
-    sim = Simulator()
     cluster = SharedCluster(
-        sim=sim,
+        sim=Simulator(),
         tenants=tenants,
         workers=workers,
         registry=registry,
@@ -546,28 +427,16 @@ def run_multi_scenario(multi: MultiScenario, lean: bool = False) -> MultiResult:
         stats_window=multi.stats_window,
         admission=admission,
     )
-    if multi.scaling.enabled:
-        knobs = {f.name: getattr(multi.scaling, f.name)
-                 for f in fields(multi.scaling) if f.name != "enabled"}
-        ReactiveScaler(cluster, **knobs).start()
-    injector = None
-    if multi.failures:
-        injector = FailureInjector(cluster, events=list(multi.failures))
-        injector.schedule_all()
     # One arrival lane per tenant, opened in declaration order: each lane
     # reserves its sequence-number block up front, so lazily pumping one
     # pending arrival per tenant reproduces the exact event ordering of
     # the old eager pre-scheduling loop (tenant-by-tenant, trace order).
-    for tenant in tenants:
-        ArrivalPump(
-            traces[tenant.name],
-            partial(cluster.submit_now, tenant.name),
-            sim.open_lane(),
-        ).prime()
-    cluster.start_ticks()
-    sim.run(until=multi.duration() + multi.drain)
-    cluster.stop_ticks()
-    sim.run()
+    injector = _simulate(
+        cluster, multi.scaling, multi.failures,
+        [(traces[t.name], partial(cluster.submit_now, t.name))
+         for t in tenants],
+        multi.duration() + multi.drain,
+    )
     collectors = {t.name: t.metrics for t in tenants}
     summaries = {
         name: summarize(coll, duration=traces[name].duration)
@@ -590,22 +459,3 @@ def run_multi_scenario(multi: MultiScenario, lean: bool = False) -> MultiResult:
         fault_records=list(injector.records) if injector is not None else [],
         goodputs=goodputs,
     )
-
-
-def compare_policies(
-    config: ExperimentConfig,
-    policies: dict[str, PolicyFactory | str | PolicySpec],
-) -> dict[str, ExperimentResult]:
-    """Run the same workload under several policies (fresh cluster each).
-
-    Values may be seed-taking factories, registered policy names or
-    :class:`~repro.policies.spec.PolicySpec` configurations.
-    """
-    results: dict[str, ExperimentResult] = {}
-    for label, factory in policies.items():
-        policy = (
-            factory if isinstance(factory, (str, PolicySpec))
-            else factory(config.seed)
-        )
-        results[label] = run_experiment(config, policy)
-    return results

@@ -10,8 +10,8 @@ configuration and a schedule of
 Everything is plain data: a scenario round-trips through
 ``Scenario.from_dict(s.to_dict())`` (and JSON files), pickles into sweep
 worker processes, and fingerprints stably for the on-disk result cache —
-including synthetic custom pipelines and composed traces, which the old
-``custom_app``/``custom_trace`` live objects could do neither of.  This is
+including synthetic custom pipelines and composed traces.  It is the only
+config type: the CLI verbs and sweep grids build scenarios too.  This is
 the deployment-description pattern production serving stacks (Clipper,
 Nexus) use, applied to the experiment surface.
 
@@ -57,10 +57,8 @@ __all__ = [
     "TenantSpec",
     "TraceSpec",
     "load_scenario_file",
-    "multi_scenario_grid",
     "scenario_axes",
     "scenario_from_dict",
-    "scenario_grid",
 ]
 
 
@@ -96,8 +94,7 @@ def _contains_mapping(value: Any) -> bool:
 def freeze_trace_args(args: Any) -> tuple:
     """Validate and freeze generator kwargs into hashable sorted pairs.
 
-    Shared by :class:`TraceSpec` and ``ExperimentConfig`` so the two
-    trace-declaration surfaces enforce one rule set.  Nested mappings are
+    :class:`TraceSpec` freezes its ``args`` through this.  Nested mappings are
     rejected: freezing would mangle them into pair-lists that
     :func:`_thaw` cannot tell apart from genuine nested lists.  Keys that
     collide with the fixed :func:`~repro.workload.generators.get_trace`
@@ -148,6 +145,19 @@ def _check_keys(data: dict, allowed: set[str], what: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _check_finite(spec: Any, names: Sequence[str], what: str = "") -> None:
+    """Reject NaN/inf in the named float fields (``None`` is allowed).
+
+    A non-finite knob either never lets the simulation end (an infinite
+    drain) or fails deep inside a run, so it is refused at construction
+    with the field named.
+    """
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{what}{name} must be finite, got {value!r}")
 
 
 def _check_provision_targets(
@@ -203,10 +213,7 @@ class BurstSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("start", "length", "factor"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"burst {name} must be finite, got {value!r}")
+        _check_finite(self, ("start", "length", "factor"), "burst ")
         if self.start < 0:
             raise ValueError("burst start must be >= 0")
         if self.length <= 0:
@@ -438,7 +445,8 @@ class AppSpec:
     Inline pipelines give ``modules`` (ids, models, DAG edges) plus a
     required ``slo`` and any :class:`~repro.pipeline.profiles.ModelProfile`
     entries their models need beyond the defaults — the serializable form
-    of what ``ExperimentConfig.custom_app`` used to carry as a live object.
+    of a custom pipeline, so it pickles and fingerprints like the rest of
+    the scenario.
     """
 
     name: str | None = None
@@ -586,6 +594,7 @@ class ScalingSpec:
     graceful_scale_in: bool = False
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("interval", "cold_start", "headroom"), "scaling ")
         if self.interval <= 0:
             # interval=0 would flood the event queue with same-timestamp
             # ticks and hang the simulation.
@@ -766,6 +775,10 @@ class Scenario:
                     f"workers must be an integer, got {self.workers}"
                 )
             object.__setattr__(self, "workers", int(self.workers))
+        _check_finite(self, (
+            "utilization", "provision_rate", "provision_headroom",
+            "sync_interval", "stats_window", "drain",
+        ))
         if self.sync_interval <= 0:
             # A zero interval floods the event queue with same-timestamp
             # ticks and the simulation never advances.
@@ -1113,6 +1126,7 @@ class TenantSpec:
             object.__setattr__(
                 self, "scenario", Scenario.from_dict(self.scenario)
             )
+        _check_finite(self, ("weight",), "tenant ")
         if self.weight <= 0:
             raise ValueError("tenant weight must be > 0")
         if isinstance(self.quota, dict):
@@ -1241,6 +1255,9 @@ class MultiScenario:
                 for e in self.failures
             ),
         )
+        _check_finite(self, (
+            "provision_headroom", "sync_interval", "stats_window", "drain",
+        ))
         if self.provision_headroom <= 0:
             raise ValueError("provision_headroom must be > 0")
         if self.sync_interval <= 0:
@@ -1627,12 +1644,13 @@ def scenario_axes(
 ) -> "list[Scenario | MultiScenario]":
     """Expand a base spec over a cross product of declared axes.
 
-    The generalisation of :func:`scenario_grid` from (policies x seeds) to
-    *any* point set in scenario space — including policy parameters, so a
-    Figure-11-style ablation grid (``{"policy.lam": [0.05, 0.1, 0.3]}``)
-    sweeps, caches and parallelises like any other axis.  Axes expand in
-    declaration order with the last axis varying fastest; every produced
-    spec re-runs full construction validation.
+    Covers any point set in scenario space: policies x seeds (the classic
+    sweep unit, ``[("policy", [...]), ("seed", [...])]``), any section
+    field, and policy parameters, so a Figure-11-style ablation grid
+    (``{"policy.lam": [0.05, 0.1, 0.3]}``) sweeps, caches and parallelises
+    like any other axis.  Axes expand in declaration order with the last
+    axis varying fastest; every produced spec re-runs full construction
+    validation.  No axes at all expands to ``[base]``.
     """
     items = list(axes.items()) if isinstance(axes, Mapping) else list(axes)
     out: "list[Scenario | MultiScenario]" = [base]
@@ -1729,48 +1747,3 @@ class SweepSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "SweepSpec":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def multi_scenario_grid(
-    base: MultiScenario,
-    policies: Iterable[str] | None = None,
-    seeds: Iterable[int] | None = None,
-) -> list[MultiScenario]:
-    """Expand a multi scenario over policies x seeds.
-
-    A policy applies to *every* tenant (the sweep axis compares systems,
-    matching :func:`scenario_grid`); a seed replaces the shared seed, which
-    shifts all tenants together via :meth:`MultiScenario.tenant_seed`.
-    Empty or ``None`` axes fall back to the base values.
-    """
-    policy_list = list(policies) if policies is not None else []
-    seed_list = list(seeds) if seeds is not None else []
-    out: list[MultiScenario] = []
-    for policy in (policy_list or [None]):
-        tenants = base.tenants if policy is None else tuple(
-            replace(t, scenario=replace(t.scenario, policy=policy))
-            for t in base.tenants
-        )
-        for seed in (seed_list or [base.seed]):
-            out.append(replace(base, tenants=tenants, seed=seed))
-    return out
-
-
-def scenario_grid(
-    base: Scenario,
-    policies: Iterable[str] | None = None,
-    seeds: Iterable[int] | None = None,
-) -> list[Scenario]:
-    """Expand one scenario over policies x seeds (the sweep unit).
-
-    Empty or ``None`` axes fall back to the base scenario's own value, so
-    the grid is never silently empty.
-    """
-    # Materialize before testing emptiness: a generator is always truthy.
-    policy_list = list(policies) if policies is not None else []
-    seed_list = list(seeds) if seeds is not None else []
-    return [
-        replace(base, policy=policy, seed=seed)
-        for policy in (policy_list or [base.policy])
-        for seed in (seed_list or [base.seed])
-    ]

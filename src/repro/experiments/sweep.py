@@ -6,18 +6,21 @@ simulation, so a sweep is embarrassingly parallel; this module fans cells
 out over a :class:`~concurrent.futures.ProcessPoolExecutor` while keeping
 three properties the harness relies on:
 
-* **Determinism** — a cell is fully described by ``(ExperimentConfig,
-  policy name)``.  The policy is constructed *inside* the worker from its
-  name, seeded with ``config.seed``, and every random stream in the
-  simulator derives from that seed via :class:`~repro.simulation.rng.
-  RngStreams`.  Summaries are therefore bitwise-identical whether a cell
-  runs in-process, in a 2-worker pool or a 16-worker pool.
+* **Determinism** — a cell is fully described by its plain-data
+  :class:`~repro.experiments.scenario.Scenario` (or
+  :class:`~repro.experiments.scenario.MultiScenario`).  The policy is
+  constructed *inside* the worker from its spec, seeded with the scenario
+  seed, and every random stream in the simulator derives from that seed
+  via :class:`~repro.simulation.rng.RngStreams`.  Summaries are therefore
+  bitwise-identical whether a cell runs in-process, in a 2-worker pool or
+  a 16-worker pool.
 * **Caching** — completed cells are stored on disk under a stable
-  fingerprint of the cell (config fields, profile registry contents,
-  policy name and the package version).  Re-running a sweep skips every
-  cell whose fingerprint is already cached.  Cells carrying custom
-  application/trace objects have no stable textual identity and are simply
-  never cached.
+  fingerprint of the cell (the scenario's own fingerprint, the policy
+  label, the package version and a digest of the ``repro`` sources).
+  Re-running a sweep skips every cell whose fingerprint is already
+  cached.  Cells resolving a trace, application or policy registered
+  outside the package (code the fingerprint cannot see) are never
+  cached.
 * **Failure isolation** — a worker exception is captured as a
   :class:`CellResult` with ``error`` set (full traceback text); the pool
   keeps draining the remaining cells rather than hanging or aborting the
@@ -38,21 +41,16 @@ import tempfile
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from ..metrics.analysis import Summary
 from ..metrics.collector import MetricsCollector
 from ..metrics.goodput import GoodputReport, goodput_report
-from .configs import standard_config
-from .runner import (
-    ExperimentConfig,
-    run_experiment,
-    run_multi_scenario,
-    run_scenario,
-)
-from .scenario import MultiScenario, Scenario, _canonical
+from .configs import standard_scenario
+from .runner import run_multi_scenario, run_scenario
+from .scenario import MultiScenario, Scenario, scenario_axes
 
 #: Fingerprint schema version; bump when the cached payload shape changes.
 _CACHE_SCHEMA = 3
@@ -82,17 +80,16 @@ def _source_digest() -> str:
 class SweepCell:
     """One unit of sweep work.
 
-    A config plus a registered policy name (the classic form), a
-    declarative :class:`~repro.experiments.scenario.Scenario` — which also
-    covers custom pipelines, composed traces and failure schedules — or a
-    shared-cluster :class:`~repro.experiments.scenario.MultiScenario`, all
-    of it picklable into workers and fingerprintable into the cache.
+    A declarative :class:`~repro.experiments.scenario.Scenario` — which
+    also covers custom pipelines, composed traces and failure schedules —
+    or a shared-cluster :class:`~repro.experiments.scenario.MultiScenario`,
+    picklable into workers and fingerprintable into the cache.  ``policy``
+    is derived from the spec (the label results are reported under).
     """
 
-    config: ExperimentConfig | None = None
-    policy: str = ""
     scenario: Scenario | None = None
     multi: MultiScenario | None = None
+    policy: str = ""
     #: Collect summary counters only (no per-request records).  The
     #: Summary is identical either way; lean results simply cannot serve
     #: record-level analyses, so lean cells cache under their own
@@ -100,15 +97,10 @@ class SweepCell:
     lean: bool = False
 
     def __post_init__(self) -> None:
-        forms = sum(
-            x is not None for x in (self.config, self.scenario, self.multi)
-        )
-        if forms != 1:
+        if (self.scenario is None) == (self.multi is None):
             raise ValueError(
-                "a sweep cell needs exactly one of: config, scenario, multi"
+                "a sweep cell needs exactly one of: scenario, multi"
             )
-        if self.config is not None and not self.policy:
-            raise ValueError("config cells need a policy name")
         if self.scenario is not None:
             label = self.scenario.policy.label()
             if self.policy and self.policy != label:
@@ -119,7 +111,7 @@ class SweepCell:
                     f"policy {label!r}"
                 )
             object.__setattr__(self, "policy", label)
-        if self.multi is not None:
+        else:
             # One label covering every tenant's policy (dedup, stable order).
             joined = "+".join(dict.fromkeys(
                 t.scenario.policy.label() for t in self.multi.tenants
@@ -134,10 +126,7 @@ class SweepCell:
     def label(self) -> str:
         if self.scenario is not None:
             return self.scenario.label()
-        if self.multi is not None:
-            return self.multi.label()
-        c = self.config
-        return f"{c.app}-{c.trace}-{self.policy}-s{c.seed}"
+        return self.multi.label()
 
 
 @dataclass
@@ -184,23 +173,22 @@ def sweep_grid(
     traces: Sequence[str],
     policies: Sequence[str],
     seeds: Sequence[int] = (0,),
-    **config_overrides,
+    **overrides,
 ) -> list[SweepCell]:
     """The cross product of apps x traces x policies x seeds as cells.
 
-    ``config_overrides`` are forwarded to :func:`standard_config`
+    ``overrides`` are forwarded to :func:`standard_scenario`
     (``duration``, ``utilization``, ``slo``, ``scaling``, ...).
     """
-    return [
-        SweepCell(
-            config=standard_config(app, trace, seed=seed, **config_overrides),
-            policy=policy,
-        )
+    return scenario_cells(
+        spec
         for app in apps
         for trace in traces
-        for policy in policies
-        for seed in seeds
-    ]
+        for spec in scenario_axes(
+            standard_scenario(app, trace, **overrides),
+            [("policy", policies), ("seed", seeds)],
+        )
+    )
 
 
 def scenario_cells(
@@ -211,14 +199,6 @@ def scenario_cells(
         SweepCell(multi=s) if isinstance(s, MultiScenario)
         else SweepCell(scenario=s)
         for s in scenarios
-    ]
-
-
-def _registry_fingerprint(config: ExperimentConfig) -> list[list]:
-    return [
-        [p.name, p.base, p.per_item, p.max_batch]
-        for name in config.registry.names()
-        for p in [config.registry.get(name)]
     ]
 
 
@@ -252,12 +232,11 @@ def _references_external_components(
 def cell_fingerprint(cell: SweepCell) -> str | None:
     """Stable hex digest identifying a cell's result, or ``None``.
 
-    Scenario cells fingerprint whenever every referenced component lives
-    in the ``repro`` package — the spec is plain data, including inline
-    pipelines and composed traces.  ``None`` means not cacheable: config
-    cells carrying ``custom_app``/``custom_trace`` live objects, and
-    scenario cells resolving third-party registrations (whose code the
-    fingerprint cannot see), always run.
+    Cells fingerprint whenever every referenced component lives in the
+    ``repro`` package — the spec is plain data, including inline
+    pipelines and composed traces.  ``None`` means not cacheable: cells
+    resolving third-party registrations (whose code the fingerprint
+    cannot see) always run.
     """
     from .. import __version__  # deferred: repro/__init__ imports this module
 
@@ -275,7 +254,7 @@ def cell_fingerprint(cell: SweepCell) -> str | None:
                                                s.policy.name):
                 return None
         payload["multi"] = cell.multi.fingerprint()
-    elif cell.scenario is not None:
+    else:
         s = cell.scenario
         if _references_external_components(s.trace.name, s.app.name,
                                            s.policy.name):
@@ -284,22 +263,7 @@ def cell_fingerprint(cell: SweepCell) -> str | None:
         # spelling (int vs float authoring); fold it in rather than the
         # raw dict.
         payload["scenario"] = s.fingerprint()
-    else:
-        config = cell.config
-        if config.custom_app is not None or config.custom_trace is not None:
-            return None
-        if _references_external_components(config.trace, config.app,
-                                           cell.policy):
-            return None
-        for f in fields(config):
-            if f.name in ("custom_app", "custom_trace", "registry"):
-                continue
-            payload[f.name] = getattr(config, f.name)
-        payload["registry"] = _registry_fingerprint(config)
-    # Canonical over numeric spelling: equal cells authored with int vs
-    # float fields (25 vs 25.0) must share one cache identity.
-    blob = json.dumps(_canonical(payload), sort_keys=True,
-                      separators=(",", ":"))
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -438,10 +402,7 @@ def execute_cell(cell: SweepCell) -> CellResult:
                 goodput=goodput_report(merged, duration=multi.multi.duration()),
                 per_app_goodput=per_app_goodput or None,
             )
-        if cell.scenario is not None:
-            result = run_scenario(cell.scenario, lean=cell.lean)
-        else:
-            result = run_experiment(cell.config, cell.policy, lean=cell.lean)
+        result = run_scenario(cell.scenario, lean=cell.lean)
         return CellResult(
             cell=cell,
             policy_name=result.policy_name,

@@ -1,11 +1,11 @@
-"""Name -> policy construction shared by the CLI, configs and sweep workers.
+"""Name -> policy construction shared by the CLI, scenarios and sweep workers.
 
 Policies are constructed from *specs* (:class:`~repro.policies.spec.
 PolicySpec`: a registered name plus typed params) rather than passing
 factory callables around because sweep worker processes receive their work
 unit by pickle: plain data survives the trip, a closure does not.  Every
 factory takes the experiment seed first, so a sweep cell is fully
-determined by ``(config, policy spec)``.
+determined by its scenario, policy spec and seed included.
 
 Each registration *declares* its parameter schema (:class:`~repro.policies.
 spec.ParamSpec`): the knobs the paper's Table-1 ablation study and

@@ -24,6 +24,7 @@ old format for worker kills.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .cluster import Cluster
@@ -52,6 +53,12 @@ class FailureEvent:
     factor: float = 2.0  # degrade faults: service-time multiplier
 
     def __post_init__(self) -> None:
+        for name in ("time", "downtime", "factor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"failure {name} must be finite, got {value!r}"
+                )
         if self.time < 0:
             raise ValueError("failure time must be >= 0")
         if self.workers < 1:

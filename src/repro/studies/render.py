@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..experiments.runner import (
+    ExperimentConfig,
     run_multi_scenario,
     run_scenario,
-    scenario_config,
 )
 from ..experiments.scenario import MultiScenario, Scenario
 from ..metrics.analysis import merge_collectors
@@ -39,7 +39,7 @@ def _declared_rate(scenario: Scenario, weight: float, t: float) -> float:
         return 0.0
     if trace.path is not None:
         return 0.0
-    rate = scenario_config(scenario).resolve_base_rate() * weight * trace.scale
+    rate = ExperimentConfig(scenario).resolve_base_rate() * weight * trace.scale
     for burst in trace.bursts:
         if burst.start <= t < burst.start + burst.length:
             rate *= burst.factor

@@ -13,11 +13,14 @@ on every committed golden.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..simulation.cluster import Cluster
 from ..simulation.engine import ArrivalLane
 from .trace import Trace
+
+if TYPE_CHECKING:
+    from ..simulation.tenancy import SharedCluster
 
 
 class ArrivalPump:
@@ -60,23 +63,37 @@ class ArrivalPump:
         self._advance()
 
 
+def drive(
+    cluster: "Cluster | SharedCluster",
+    feeds: Iterable[tuple[Iterable[float], Callable[[float], object]]],
+    until: float,
+) -> None:
+    """Pump every ``(arrivals, submit)`` feed into a cluster and run it dry.
+
+    One arrival lane per feed, opened in feed order.  The simulation runs
+    with control-plane ticks until ``until``; the ticks are then cancelled
+    and the event queue drained so every in-flight request reaches a
+    terminal state and is accounted in the metrics (backlogged queues
+    under the Naive policy can far outlive the trace).
+    """
+    sim = cluster.sim
+    for arrivals, submit in feeds:
+        ArrivalPump(arrivals, submit, sim.open_lane()).prime()
+    cluster.start_ticks()
+    sim.run(until=until)
+    cluster.stop_ticks()
+    sim.run()
+
+
 def replay(trace: "Trace | Iterable[float]", cluster: Cluster,
            drain: float = 5.0) -> None:
     """Stream every arrival into the cluster and run to completion.
 
     Works identically for an eager :class:`Trace` and a lazy
     :class:`~repro.workload.source.ArrivalSource` — both iterate sorted
-    times and carry a ``duration``.  The simulation runs with
-    control-plane ticks until ``duration + drain``; the ticks are then
-    cancelled and the event queue drained so every in-flight request
-    reaches a terminal state and is accounted in the metrics (backlogged
-    queues under the Naive policy can far outlive the trace).
+    times and carry a ``duration``.  Runs until ``duration + drain``,
+    then drains (see :func:`drive`).
     """
     if drain < 0:
         raise ValueError("drain must be >= 0")
-    pump = ArrivalPump(trace, cluster.submit_now, cluster.sim.open_lane())
-    pump.prime()
-    cluster.start_ticks()
-    cluster.sim.run(until=trace.duration + drain)
-    cluster.stop_ticks()
-    cluster.sim.run()
+    drive(cluster, [(trace, cluster.submit_now)], trace.duration + drain)

@@ -128,13 +128,6 @@ class TraceSource(ArrivalSource):
             yield arrivals[lo:lo + CHUNK]
 
 
-def ensure_source(workload: "Trace | ArrivalSource") -> ArrivalSource:
-    """Adapt either workload representation to the streaming protocol."""
-    if isinstance(workload, ArrivalSource):
-        return workload
-    return TraceSource(workload)
-
-
 class ConstantSource(ArrivalSource):
     """Perfectly regular arrivals; byte-identical to ``constant_trace``."""
 

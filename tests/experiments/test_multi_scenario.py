@@ -17,7 +17,7 @@ from repro.experiments.scenario import (
     TenantSpec,
     TraceSpec,
     load_scenario_file,
-    multi_scenario_grid,
+    scenario_axes,
     scenario_from_dict,
 )
 from repro.experiments.sweep import (
@@ -301,8 +301,8 @@ class TestValidation:
 
 class TestGrid:
     def test_policies_apply_to_every_tenant(self):
-        grid = multi_scenario_grid(full_multi(), policies=["PARD", "Naive"],
-                                   seeds=[0, 1, 2])
+        grid = scenario_axes(full_multi(), [("policy", ["PARD", "Naive"]),
+                                            ("seed", [0, 1, 2])])
         assert len(grid) == 6
         for ms in grid:
             policies = {t.scenario.policy for t in ms.tenants}
@@ -311,8 +311,7 @@ class TestGrid:
 
     def test_empty_axes_fall_back_to_base(self):
         base = full_multi()
-        grid = multi_scenario_grid(base)
-        assert grid == [base]
+        assert scenario_axes(base, []) == [base]
 
 
 class TestExecution:
@@ -425,7 +424,7 @@ class TestPerAppIsolation:
 class TestSweepIntegration:
     def test_serial_and_pooled_identical(self):
         cells = scenario_cells(
-            multi_scenario_grid(full_multi(), seeds=[0, 1, 2, 3])
+            scenario_axes(full_multi(), [("seed", [0, 1, 2, 3])])
         )
         serial = run_sweep(cells, workers=1)
         pooled = run_sweep(cells, workers=4)

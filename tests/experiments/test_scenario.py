@@ -7,14 +7,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.runner import run_scenario, scenario_config
+from repro.experiments.runner import ExperimentConfig, run_scenario
 from repro.experiments.scenario import (
     AppSpec,
     BurstSpec,
     Scenario,
     ScalingSpec,
     TraceSpec,
-    scenario_grid,
+    scenario_axes,
+    scenario_from_dict,
 )
 from repro.experiments.sweep import (
     cell_fingerprint,
@@ -140,6 +141,56 @@ class TestFingerprint:
         assert base.fingerprint() != replace(base, failures=()).fingerprint()
 
 
+def _single(**fields) -> dict:
+    return {"app": {"name": "tm"}, **fields}
+
+
+def _shared(**fields) -> dict:
+    tenant = {"scenario": {"app": {"name": "tm"},
+                           "trace": {"name": "poisson", "base_rate": 10.0}}}
+    return {"tenants": [tenant], **fields}
+
+
+#: field -> (scenario dict with the field set to a value, field in errors).
+NON_FINITE_CASES = {
+    "drain": (lambda v: _single(drain=v), "drain"),
+    "sync_interval": (lambda v: _single(sync_interval=v), "sync_interval"),
+    "stats_window": (lambda v: _single(stats_window=v), "stats_window"),
+    "utilization": (lambda v: _single(utilization=v), "utilization"),
+    "provision_rate": (lambda v: _single(provision_rate=v), "provision_rate"),
+    "provision_headroom": (
+        lambda v: _single(provision_headroom=v), "provision_headroom"),
+    "scaling.interval": (
+        lambda v: _single(scaling={"interval": v}), "scaling interval"),
+    "scaling.cold_start": (
+        lambda v: _single(scaling={"cold_start": v}), "scaling cold_start"),
+    "scaling.headroom": (
+        lambda v: _single(scaling={"headroom": v}), "scaling headroom"),
+    "failures.time": (
+        lambda v: _single(failures=[{"time": v, "module_id": "m1"}]),
+        "failure time"),
+    "failures.downtime": (
+        lambda v: _single(failures=[{"time": 1.0, "module_id": "m1",
+                                     "downtime": v}]),
+        "failure downtime"),
+    "failures.factor": (
+        lambda v: _single(failures=[{"time": 1.0, "module_id": "m1",
+                                     "kind": "degrade", "factor": v}]),
+        "failure factor"),
+    "multi.drain": (lambda v: _shared(drain=v), "drain"),
+    "multi.sync_interval": (lambda v: _shared(sync_interval=v), "sync_interval"),
+    "multi.stats_window": (lambda v: _shared(stats_window=v), "stats_window"),
+    "multi.provision_headroom": (
+        lambda v: _shared(provision_headroom=v), "provision_headroom"),
+    "multi.scaling.headroom": (
+        lambda v: _shared(scaling={"headroom": v}), "scaling headroom"),
+    "multi.tenant.weight": (
+        lambda v: {"tenants": [{"weight": v,
+                                "scenario": {"app": {"name": "tm"}}}]},
+        "tenant weight"),
+}
+
+
 class TestValidation:
     def test_unknown_policy_rejected_by_validate(self):
         # Name resolution is lazy (construction succeeds, so plugins can
@@ -211,14 +262,12 @@ class TestValidation:
             full_scenario(failures=(FailureEvent(time=600.0, module_id="m1"),))
 
     def test_reserved_trace_args_rejected(self):
-        from repro.experiments.runner import ExperimentConfig
-
         with pytest.raises(ValueError, match="reserved"):
             TraceSpec(name="poisson", args={"seed": 7})
-        # The config shim enforces the same rule at construction.
+        # The JSON form enforces the same rule at construction.
         with pytest.raises(ValueError, match="reserved"):
-            ExperimentConfig(app="tm", trace="tweet",
-                             trace_args={"base_rate": 10.0})
+            Scenario.from_dict({"trace": {"name": "tweet",
+                                          "args": {"base_rate": 10.0}}})
 
     def test_dict_valued_trace_args_rejected(self):
         with pytest.raises(ValueError, match="nested mappings"):
@@ -301,6 +350,17 @@ class TestValidation:
                 "policy": "PARD",
             })
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", sorted(NON_FINITE_CASES))
+    def test_non_finite_numbers_rejected(self, field, value):
+        """NaN/inf used to pass construction and then hang the run (an
+        infinite drain) or fail deep inside it; construction now refuses
+        them with one line naming the field."""
+        path, what = NON_FINITE_CASES[field]
+        with pytest.raises(ValueError, match=f"^{what} must be finite") as err:
+            scenario_from_dict(path(value))
+        assert "\n" not in str(err.value)
+
     def test_trace_scale_thinning_only(self):
         with pytest.raises(ValueError, match="scale"):
             TraceSpec(scale=2.0)
@@ -350,11 +410,9 @@ class TestValidation:
                                 "failures": [{"module_id": "m1"}]})
 
     def test_config_trace_args_reject_nested_mappings(self):
-        from repro.experiments.runner import ExperimentConfig
-
         with pytest.raises(ValueError, match="nested mappings"):
-            ExperimentConfig(app="tm", trace="step",
-                             trace_args={"opts": {"a": 1}})
+            Scenario.from_dict({"trace": {"name": "step",
+                                          "args": {"opts": {"a": 1}}}})
 
     def test_dict_forms_coerced_at_construction(self):
         s = Scenario(app={"name": "tm"},
@@ -446,7 +504,7 @@ class TestResolution:
     def test_named_app_slo_override(self):
         s = Scenario(app=AppSpec(name="lv", slo=0.25))
         assert s.build_application().slo == pytest.approx(0.25)
-        assert scenario_config(s).resolve_app().slo == pytest.approx(0.25)
+        assert ExperimentConfig(s).app.slo == pytest.approx(0.25)
 
     def test_burst_overlay_raises_windowed_rate(self):
         s = full_scenario()
@@ -473,8 +531,8 @@ class TestResolution:
                             args={"rates": [[0, 1], [5, 4]]}),
             utilization=0.9,
         )
-        flat_rate = scenario_config(flat).resolve_base_rate()
-        stepped_rate = scenario_config(stepped).resolve_base_rate()
+        flat_rate = ExperimentConfig(flat).resolve_base_rate()
+        stepped_rate = ExperimentConfig(stepped).resolve_base_rate()
         # Mean multiplier of the step shape is 2.5x, so the calibrated
         # base rate must drop accordingly.
         assert stepped_rate == pytest.approx(flat_rate / 2.5, rel=0.15)
@@ -489,15 +547,18 @@ class TestResolution:
                         trace=TraceSpec(name="poisson", duration=10.0,
                                         scale=0.5),
                         utilization=0.9)
-        full_rate = scenario_config(full).resolve_base_rate()
-        half_rate = scenario_config(half).resolve_base_rate()
+        full_rate = ExperimentConfig(full).resolve_base_rate()
+        half_rate = ExperimentConfig(half).resolve_base_rate()
         assert half_rate == pytest.approx(2 * full_rate, rel=0.05)
 
     def test_scenario_config_shim(self):
-        config = scenario_config(full_scenario())
-        assert config.custom_app is not None
-        assert config.trace == "poisson"
-        assert config.seed == 3
+        """The runner's calibration step resolves app, registry and batch
+        plan once, from the scenario's plain data."""
+        config = ExperimentConfig(full_scenario())
+        assert config.app.spec.module_ids == ["m1", "m2"]
+        assert "probe_a" in config.registry
+        assert set(config.plan) == {"m1", "m2"}
+        assert config.resolve_base_rate() == 60.0
 
     def test_pinned_trace_seed_drives_calibration(self):
         """The pilot must measure the workload actually replayed: a
@@ -510,8 +571,8 @@ class TestResolution:
         direct = Scenario(app=AppSpec(name="tm"),
                           trace=TraceSpec(name="tweet", duration=20.0),
                           utilization=0.9, seed=7)
-        assert (scenario_config(pinned).resolve_base_rate()
-                == scenario_config(direct).resolve_base_rate())
+        assert (ExperimentConfig(pinned).resolve_base_rate()
+                == ExperimentConfig(direct).resolve_base_rate())
 
 
 class TestExecution:
@@ -520,7 +581,7 @@ class TestExecution:
         the workload run_scenario replays."""
         s = full_scenario()
         result = run_scenario(s)
-        spec_trace = s.build_trace(scenario_config(s).resolve_base_rate())
+        spec_trace = s.build_trace(result.base_rate)
         replayed = result.trace.materialize()
         assert replayed.arrivals.tobytes() == spec_trace.arrivals.tobytes()
         assert replayed.name == spec_trace.name
@@ -588,28 +649,27 @@ class TestExecution:
         assert count(run_scenario(bursty)) == count(run_scenario(calm))
 
     def test_grid_expands_policies_and_seeds(self):
-        grid = scenario_grid(full_scenario(), policies=["Naive", "Nexus"],
-                             seeds=[0, 1, 2])
+        grid = scenario_axes(full_scenario(), [("policy", ["Naive", "Nexus"]),
+                                               ("seed", [0, 1, 2])])
         assert len(grid) == 6
         assert {g.policy.name for g in grid} == {"Naive", "Nexus"}
         assert {g.seed for g in grid} == {0, 1, 2}
 
     def test_grid_empty_axes_fall_back_to_base(self):
         base = full_scenario()
-        for grid in (scenario_grid(base),
-                     scenario_grid(base, policies=[], seeds=[]),
-                     scenario_grid(base, policies=iter(()), seeds=iter(()))):
-            assert len(grid) == 1
-            assert grid[0].policy == base.policy
-            assert grid[0].seed == base.seed
+        for grid in (scenario_axes(base, []), scenario_axes(base, {}),
+                     scenario_axes(base, iter(()))):
+            assert grid == [base]
+        with pytest.raises(ValueError, match="no values"):
+            scenario_axes(base, [("seed", iter(()))])
 
 
 class TestSweepIntegration:
     """The acceptance criterion: identical in-process and pooled, cacheable."""
 
     def test_serial_pool_and_inprocess_identical(self):
-        cells = scenario_cells(scenario_grid(full_scenario(),
-                                             seeds=[0, 1, 2, 3]))
+        cells = scenario_cells(scenario_axes(full_scenario(),
+                                             [("seed", [0, 1, 2, 3])]))
         serial = run_sweep(cells, workers=1)
         pooled = run_sweep(cells, workers=4)
         assert all(r.ok for r in serial + pooled), [
@@ -648,16 +708,6 @@ class TestSweepIntegration:
                                               base_rate=20.0))
             ])[0]
             assert cell_fingerprint(cell) is None
-            # Config cells referencing the same external trace are
-            # equally uncacheable.
-            from repro.experiments.runner import ExperimentConfig
-            from repro.experiments.sweep import SweepCell
-
-            config_cell = SweepCell(
-                config=ExperimentConfig(app="tm", trace=name, workers=1),
-                policy="Naive",
-            )
-            assert cell_fingerprint(config_cell) is None
         finally:
             del TRACES[name]
         cell = scenario_cells([full_scenario()])[0]

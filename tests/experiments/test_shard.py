@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.scenario import Scenario, TraceSpec, scenario_grid
+from repro.experiments.scenario import Scenario, TraceSpec, scenario_axes
 from repro.experiments.sweep import (
     merge_summaries,
     parse_shard,
@@ -56,7 +56,7 @@ def _grid_cells():
         workers=2,
     )
     return scenario_cells(
-        scenario_grid(base, policies=["PARD", "Naive"], seeds=[0, 1])
+        scenario_axes(base, [("policy", ["PARD", "Naive"]), ("seed", [0, 1])])
     )
 
 

@@ -6,8 +6,7 @@ import pickle
 
 import pytest
 
-from repro.experiments.runner import ExperimentConfig
-from repro.experiments.scenario import Scenario
+from repro.experiments.scenario import MultiScenario, Scenario, TenantSpec
 from repro.experiments.sweep import (
     CellResult,
     SweepCell,
@@ -18,19 +17,20 @@ from repro.experiments.sweep import (
     summary_table,
     sweep_grid,
 )
-from repro.workload.generators import constant_trace
+
+
+def tiny_scenario(policy: str = "Naive", seed: int = 0) -> Scenario:
+    """A small fixed-worker scenario that simulates in well under a second."""
+    return Scenario(
+        app={"name": "tm"},
+        trace={"name": "tweet", "base_rate": 25, "duration": 4.0},
+        policy=policy, workers=2, seed=seed,
+    )
 
 
 def tiny_cells(policies=("Naive", "Nexus"), seeds=(0,)) -> list[SweepCell]:
-    """Small fixed-worker cells that simulate in well under a second."""
     return [
-        SweepCell(
-            config=ExperimentConfig(
-                app="tm", trace="tweet", base_rate=25, duration=4.0,
-                workers=2, seed=seed,
-            ),
-            policy=policy,
-        )
+        SweepCell(scenario=tiny_scenario(policy, seed))
         for policy in policies
         for seed in seeds
     ]
@@ -76,27 +76,14 @@ class TestFingerprint:
         assert cell_fingerprint(naive) != cell_fingerprint(nexus)
 
     def test_canonical_over_numeric_spelling(self):
-        ints = SweepCell(
-            config=ExperimentConfig(app="tm", trace="tweet", base_rate=25,
-                                    duration=4, workers=2),
-            policy="Naive",
-        )
-        floats = SweepCell(
-            config=ExperimentConfig(app="tm", trace="tweet", base_rate=25.0,
-                                    duration=4.0, workers=2),
-            policy="Naive",
-        )
-        assert cell_fingerprint(ints) == cell_fingerprint(floats)
+        def cell(base_rate, duration) -> SweepCell:
+            return SweepCell(scenario=Scenario(
+                app={"name": "tm"}, policy="Naive", workers=2,
+                trace={"name": "tweet", "base_rate": base_rate,
+                       "duration": duration},
+            ))
 
-    def test_custom_objects_uncacheable(self):
-        cell = SweepCell(
-            config=ExperimentConfig(
-                app="tm", trace="tweet", workers=1,
-                custom_trace=constant_trace(10.0, 2.0),
-            ),
-            policy="Naive",
-        )
-        assert cell_fingerprint(cell) is None
+        assert cell_fingerprint(cell(25, 4)) == cell_fingerprint(cell(25.0, 4.0))
 
 
 class TestDeterminism:
@@ -174,16 +161,12 @@ class TestCache:
 
 
 class TestCellValidation:
-    def test_needs_exactly_one_of_config_or_scenario(self):
+    def test_needs_exactly_one_of_scenario_or_multi(self):
         with pytest.raises(ValueError, match="exactly one"):
             SweepCell()
+        multi = MultiScenario(tenants=(TenantSpec(tiny_scenario()),))
         with pytest.raises(ValueError, match="exactly one"):
-            SweepCell(config=tiny_cells()[0].config, policy="Naive",
-                      scenario=Scenario())
-
-    def test_config_cell_needs_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            SweepCell(config=tiny_cells()[0].config)
+            SweepCell(scenario=tiny_scenario(), multi=multi)
 
     def test_scenario_cell_rejects_conflicting_policy(self):
         scenario = Scenario(policy="PARD")
@@ -274,10 +257,7 @@ class TestFailureIsolation:
         assert failed.summary is None
 
     def test_execute_cell_never_raises(self):
-        cell = SweepCell(
-            config=ExperimentConfig(app="tm", trace="tweet", workers=1),
-            policy="NoSuchPolicy",
-        )
+        cell = SweepCell(scenario=tiny_scenario("NoSuchPolicy"))
         result = execute_cell(cell)
         assert isinstance(result, CellResult)
         assert not result.ok

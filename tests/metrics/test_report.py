@@ -36,14 +36,14 @@ class TestFormatTable:
 
 class TestResultTables:
     def test_comparison_and_per_module_tables(self):
-        from repro.experiments.runner import ExperimentConfig, run_experiment
+        from repro.experiments.runner import run_scenario
+        from repro.experiments.scenario import Scenario
         from repro.metrics.report import comparison_table, per_module_drop_table
-        from repro.policies.naive import NaivePolicy
 
-        config = ExperimentConfig(
-            app="tm", trace="tweet", base_rate=20, duration=5.0, workers=1
-        )
-        results = {"Naive": run_experiment(config, NaivePolicy())}
+        results = {"Naive": run_scenario(Scenario(
+            app={"name": "tm"}, policy="Naive", workers=1,
+            trace={"name": "tweet", "base_rate": 20, "duration": 5.0},
+        ))}
         table = comparison_table(results)
         assert "Naive" in table and "goodput" in table
         module_table = per_module_drop_table(results)

@@ -187,14 +187,14 @@ class TestDagRouting:
 
 class TestDeterminism:
     def test_same_seed_same_metrics(self):
-        from repro.experiments import ExperimentConfig, run_experiment
-        from repro.core.policy import PardPolicy
+        from repro.experiments import Scenario, run_scenario
 
         def run():
-            config = ExperimentConfig(
-                app="tm", trace="tweet", base_rate=50, duration=12, seed=9
-            )
-            result = run_experiment(config, PardPolicy(samples=500, seed=9))
+            result = run_scenario(Scenario(
+                app={"name": "tm"},
+                trace={"name": "tweet", "base_rate": 50, "duration": 12},
+                policy={"name": "PARD", "params": {"samples": 500}}, seed=9,
+            ))
             return (
                 result.summary.good,
                 result.summary.dropped,

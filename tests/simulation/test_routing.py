@@ -136,18 +136,17 @@ class TestDynamicPathDropBehaviour:
         """§5.2: with request-specific dynamic paths PARD's estimates grow
         conservative (max over all static paths), nudging the drop rate up
         relative to the static DAG."""
-        from repro.experiments import standard_config, run_experiment
-        from repro.core.policy import PardPolicy
+        from repro.experiments import build_cluster, run_scenario, standard_scenario
 
-        config = standard_config("da", "tweet", duration=30.0, seed=2,
-                                 scaling=False)
-        static = run_experiment(config, PardPolicy(samples=1000, seed=2))
+        scenario = standard_scenario(
+            "da", "tweet", {"name": "PARD", "params": {"samples": 1000}},
+            duration=30.0, seed=2, scaling=False,
+        )
+        static = run_scenario(scenario)
         # Same workload, dynamic router.
-        from repro.experiments.runner import build_cluster
         from repro.workload.replay import replay
 
-        trace = config.resolve_trace()
-        cluster = build_cluster(config, PardPolicy(samples=1000, seed=2), trace)
+        cluster, trace = build_cluster(scenario)
         cluster.router = ProbabilisticRouter(seed=2)
         replay(trace, cluster)
         from repro.metrics import summarize

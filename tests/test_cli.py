@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -91,6 +92,21 @@ class TestSweepCommand:
         assert main(args) == 0
         out = capsys.readouterr().out
         assert out.count("cached") == 2
+
+    def test_paper_grid_summaries_are_pinned(self, tmp_path):
+        """The paper's 4 apps x 3 traces x 4 systems grid, at 10 s per
+        cell: its --save-summaries bytes are pinned, so a change to how
+        `repro sweep` builds its cells cannot move a number unnoticed."""
+        out = tmp_path / "grid.json"
+        assert main([
+            "sweep", "--apps", "lv,tm,gm,da", "--traces", "wiki,tweet,azure",
+            "--policies", "PARD,Nexus,Clipper++,Naive", "--duration", "10",
+            "--workers", "1", "--no-cache", "--quiet",
+            "--save-summaries", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d846f0fa0401f1b38662c24b2e6f4b31e937c8e21e03945ed960e8322601e551"
+        )
 
     def test_sweep_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):

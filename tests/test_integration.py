@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.policy import PardPolicy
-from repro.experiments import ExperimentConfig, build_cluster, run_experiment
+from repro.experiments import Scenario, build_cluster, run_scenario
 from repro.metrics import summarize
 from repro.simulation import (
     FailureEvent,
@@ -12,7 +11,7 @@ from repro.simulation import (
     ReactiveScaler,
     RequestStatus,
 )
-from repro.workload import poisson_trace, replay, tweet_trace
+from repro.workload import replay
 
 
 class TestKitchenSink:
@@ -20,12 +19,12 @@ class TestKitchenSink:
     all at once: conservation and sanity invariants must hold."""
 
     def build(self):
-        trace = tweet_trace(base_rate=70, duration=25, seed=6)
-        config = ExperimentConfig(
-            app="da", trace="tweet", custom_trace=trace,
+        cluster, trace = build_cluster(Scenario(
+            app={"name": "da"},
+            trace={"name": "tweet", "base_rate": 70, "duration": 25},
+            policy={"name": "PARD", "params": {"samples": 500}},
             workers=2, seed=6,
-        )
-        cluster = build_cluster(config, PardPolicy(samples=500, seed=6), trace)
+        ))
         cluster.router = ProbabilisticRouter(seed=6)
         cluster.hop_delay = 0.002
         ReactiveScaler(cluster, cold_start=3.0).start()
@@ -41,7 +40,7 @@ class TestKitchenSink:
     def test_every_request_terminates_exactly_once(self):
         trace, cluster = self.build()
         records = cluster.metrics.records
-        assert len(records) == len(trace)
+        assert len(records) == trace.count()
         assert len({r.rid for r in records}) == len(records)
         assert all(
             r.status in (RequestStatus.COMPLETED, RequestStatus.DROPPED)
@@ -90,26 +89,27 @@ class TestRegressionNumbers:
     """Frozen-seed regression: the headline comparison stays stable."""
 
     def test_lv_tweet_headline(self):
-        config = ExperimentConfig(
-            app="lv", trace="tweet",
-            custom_trace=poisson_trace(rate=150, duration=10, seed=3),
+        result = run_scenario(Scenario(
+            app={"name": "lv"},
+            trace={"name": "poisson", "base_rate": 150, "duration": 10},
+            policy={"name": "PARD", "params": {"samples": 500}},
             workers={"m1": 2, "m2": 2, "m3": 1, "m4": 1, "m5": 2},
             seed=3,
-        )
-        result = run_experiment(config, PardPolicy(samples=500, seed=3))
+        ))
         s = result.summary
         # 150 req/s against a ~154 req/s pool: nearly everything served.
-        assert s.total == len(result.trace)
+        assert s.total == result.trace.count()
         assert s.drop_rate < 0.25
         assert s.goodput > 100
 
     def test_summaries_are_deterministic_across_runs(self):
         def once():
-            config = ExperimentConfig(
-                app="gm", trace="azure", base_rate=40, duration=10, seed=11,
-                workers=2,
-            )
-            r = run_experiment(config, PardPolicy(samples=300, seed=11))
+            r = run_scenario(Scenario(
+                app={"name": "gm"},
+                trace={"name": "azure", "base_rate": 40, "duration": 10},
+                policy={"name": "PARD", "params": {"samples": 300}},
+                workers=2, seed=11,
+            ))
             return (r.summary.good, r.summary.dropped, r.summary.invalid_rate)
 
         assert once() == once()
@@ -117,13 +117,14 @@ class TestRegressionNumbers:
 
 class TestDrainGuarantee:
     def test_no_in_flight_requests_after_replay(self):
-        trace = poisson_trace(rate=120, duration=6, seed=4)
-        config = ExperimentConfig(
-            app="tm", trace="tweet", custom_trace=trace, workers=1, seed=4,
-        )
-        cluster = build_cluster(config, PardPolicy(samples=300, seed=4), trace)
+        cluster, trace = build_cluster(Scenario(
+            app={"name": "tm"},
+            trace={"name": "poisson", "base_rate": 120, "duration": 6},
+            policy={"name": "PARD", "params": {"samples": 300}},
+            workers=1, seed=4,
+        ))
         replay(trace, cluster)
         assert cluster.total_queue_length() == 0
         assert cluster.sim.pending_events == 0
         summary = summarize(cluster.metrics)
-        assert summary.total == len(trace)
+        assert summary.total == trace.count()

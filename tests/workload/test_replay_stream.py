@@ -91,6 +91,7 @@ class TestFlatMemory:
 class TestNoArrivalsError:
     def test_message_reports_name_not_repr(self):
         from repro.experiments.runner import ExperimentConfig
+        from repro.experiments.scenario import Scenario
         from repro.workload.generators import TRACES, register_trace
         from repro.workload.trace import Trace
         import numpy as np
@@ -102,9 +103,10 @@ class TestNoArrivalsError:
             return Trace(name, np.empty(0), duration)
 
         try:
-            config = ExperimentConfig(
-                app="lv", trace=name, duration=10.0, utilization=0.9
-            )
+            config = ExperimentConfig(Scenario(
+                app={"name": "lv"}, trace={"name": name, "duration": 10.0},
+                utilization=0.9,
+            ))
             with pytest.raises(ValueError) as err:
                 config.resolve_base_rate()
         finally:

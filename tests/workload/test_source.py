@@ -34,7 +34,6 @@ from repro.workload.source import (
     ThinnedSource,
     TraceSource,
     concat_sources,
-    ensure_source,
     trace_file_digest,
 )
 from repro.workload.trace import Trace
@@ -493,15 +492,9 @@ class TestFileSource:
 
 
 class TestEnsureSource:
-    def test_trace_adapts(self):
-        trace = get_trace("constant", base_rate=10.0, duration=5.0, seed=0)
-        src = ensure_source(trace)
-        assert isinstance(src, TraceSource)
-        assert ensure_source(src) is src
-
     def test_iteration_protocols_match(self):
         trace = get_trace("poisson", base_rate=30.0, duration=10.0, seed=0)
-        assert list(trace) == list(ensure_source(trace))
+        assert list(trace) == list(TraceSource(trace))
 
 
 class TestTransformClasses:
