@@ -34,7 +34,9 @@ from typing import Any, Iterable, Mapping, Sequence
 from ..metrics.goodput import GoodputSpec
 from ..pipeline.applications import APPLICATIONS, Application, get_application
 from ..pipeline.llm_profiles import profile_from_dict, profile_to_dict
-from ..pipeline.profiles import DEFAULT_PROFILES, ModelProfile, ProfileRegistry
+from ..pipeline.profiles import (
+    DEFAULT_PROFILES, ModelProfile, ProfileRegistry, check_finite,
+)
 from ..pipeline.spec import ModuleSpec, PipelineSpec, chain
 from ..policies.spec import PolicySpec
 from ..simulation.failures import FailureEvent
@@ -147,19 +149,6 @@ def _check_keys(data: dict, allowed: set[str], what: str) -> None:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
-def _check_finite(spec: Any, names: Sequence[str], what: str = "") -> None:
-    """Reject NaN/inf in the named float fields (``None`` is allowed).
-
-    A non-finite knob either never lets the simulation end (an infinite
-    drain) or fails deep inside a run, so it is refused at construction
-    with the field named.
-    """
-    for name in names:
-        value = getattr(spec, name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{what}{name} must be finite, got {value!r}")
-
-
 def _check_provision_targets(
     workers: "int | dict[str, int] | None",
     failures: "tuple[FailureEvent, ...]",
@@ -213,7 +202,7 @@ class BurstSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("start", "length", "factor"), "burst ")
+        check_finite(self, ("start", "length", "factor"), "burst ")
         if self.start < 0:
             raise ValueError("burst start must be >= 0")
         if self.length <= 0:
@@ -594,7 +583,7 @@ class ScalingSpec:
     graceful_scale_in: bool = False
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("interval", "cold_start", "headroom"), "scaling ")
+        check_finite(self, ("interval", "cold_start", "headroom"), "scaling ")
         if self.interval <= 0:
             # interval=0 would flood the event queue with same-timestamp
             # ticks and hang the simulation.
@@ -775,7 +764,7 @@ class Scenario:
                     f"workers must be an integer, got {self.workers}"
                 )
             object.__setattr__(self, "workers", int(self.workers))
-        _check_finite(self, (
+        check_finite(self, (
             "utilization", "provision_rate", "provision_headroom",
             "sync_interval", "stats_window", "drain",
         ))
@@ -1126,7 +1115,7 @@ class TenantSpec:
             object.__setattr__(
                 self, "scenario", Scenario.from_dict(self.scenario)
             )
-        _check_finite(self, ("weight",), "tenant ")
+        check_finite(self, ("weight",), "tenant ")
         if self.weight <= 0:
             raise ValueError("tenant weight must be > 0")
         if isinstance(self.quota, dict):
@@ -1255,7 +1244,7 @@ class MultiScenario:
                 for e in self.failures
             ),
         )
-        _check_finite(self, (
+        check_finite(self, (
             "provision_headroom", "sync_interval", "stats_window", "drain",
         ))
         if self.provision_headroom <= 0:

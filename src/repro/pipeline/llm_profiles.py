@@ -25,7 +25,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .applications import Application, register_application
-from .profiles import DEFAULT_PROFILES, ModelProfile
+from .profiles import DEFAULT_PROFILES, ModelProfile, check_finite
 from .spec import ModuleSpec, PipelineSpec, chain
 
 _DIST_KINDS = ("constant", "uniform", "lognormal")
@@ -60,6 +60,9 @@ class TokenDist:
                 f"unknown token distribution {self.kind!r}; "
                 f"expected one of {_DIST_KINDS}"
             )
+        check_finite(
+            self, ("mean", "low", "high", "sigma"), "token distribution "
+        )
         if self.kind == "uniform":
             if self.low < 1 or self.high < self.low:
                 raise ValueError(
@@ -151,17 +154,24 @@ class LLMProfile(ModelProfile):
     preempt: bool = False
 
     def __post_init__(self) -> None:
+        what = f"profile {self.name!r}: "
+        check_finite(self, (
+            "prefill_base", "prefill_per_token", "decode_base",
+            "decode_per_token", "kv_capacity",
+        ), what)
         if min(
             self.prefill_base,
             self.prefill_per_token,
             self.decode_base,
             self.decode_per_token,
         ) <= 0:
+            raise ValueError(f"{what}prefill/decode costs must be > 0")
+        if self.kv_capacity != int(self.kv_capacity):
             raise ValueError(
-                f"profile {self.name!r}: prefill/decode costs must be > 0"
+                f"{what}kv_capacity must be an integer, got {self.kv_capacity!r}"
             )
         if self.kv_capacity < 1:
-            raise ValueError(f"profile {self.name!r}: kv_capacity must be >= 1")
+            raise ValueError(f"{what}kv_capacity must be >= 1")
         e_prompt = self.prompt_dist.expectation()
         e_out = self.output_dist.expectation()
         # Affine equivalent of the expected per-request cost at batch size
@@ -226,7 +236,12 @@ class LLMProfile(ModelProfile):
         kwargs = {k: v for k, v in data.items() if k != "kind"}
         for key in ("prompt_dist", "output_dist"):
             if key in kwargs and isinstance(kwargs[key], Mapping):
-                kwargs[key] = TokenDist.from_dict(kwargs[key])
+                try:
+                    kwargs[key] = TokenDist.from_dict(kwargs[key])
+                except ValueError as exc:
+                    raise ValueError(
+                        f"profile {data.get('name')!r}: {key}: {exc}"
+                    ) from None
         return cls(**kwargs)
 
 

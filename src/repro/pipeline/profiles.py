@@ -10,7 +10,23 @@ Clipper, Clockwork all profile this way).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Any, Sequence
+
+
+def check_finite(spec: Any, names: Sequence[str], what: str = "") -> None:
+    """Reject NaN/inf in the named float fields (``None`` is allowed).
+
+    A non-finite knob either never lets the simulation end (an infinite
+    drain) or fails deep inside a run, so it is refused at construction
+    with the field named.  NaN also slips past every range check, since
+    each comparison with it is false.
+    """
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{what}{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +51,7 @@ class ModelProfile:
     max_batch: int = 32
 
     def __post_init__(self) -> None:
+        check_finite(self, ("base", "per_item"), f"profile {self.name!r}: ")
         if self.base <= 0 or self.per_item <= 0:
             raise ValueError(f"profile {self.name!r}: base/per_item must be > 0")
         if self.max_batch < 1:

@@ -24,9 +24,9 @@ old format for worker kills.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
+from ..pipeline.profiles import check_finite
 from .cluster import Cluster
 from .request import RequestStatus
 
@@ -53,12 +53,7 @@ class FailureEvent:
     factor: float = 2.0  # degrade faults: service-time multiplier
 
     def __post_init__(self) -> None:
-        for name in ("time", "downtime", "factor"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"failure {name} must be finite, got {value!r}"
-                )
+        check_finite(self, ("time", "downtime", "factor"), "failure ")
         if self.time < 0:
             raise ValueError("failure time must be >= 0")
         if self.workers < 1:

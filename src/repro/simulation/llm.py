@@ -34,6 +34,27 @@ whose ``requests`` list every running sequence, so a worker failure
 strands *all* of them (their per-worker KV state dies with the
 worker, and generation restarts from scratch on re-dispatch — the sampled
 token lengths on the visit are sticky, so the replay is deterministic).
+
+The iteration loop: ``_step`` purges dropped sequences, admits, and
+starts one prefill or decode iteration; its ``_finish_step`` event emits
+the tokens, retires exhausted sequences and calls ``_step`` again.  Most
+decode iterations change nothing, so ``_finish_step`` starts the next
+decode iteration itself, on the same :class:`~repro.simulation.worker
+.Batch`, when all four of these hold:
+
+* no sequence retired, so no ``on_module_done`` ran and nothing
+  re-entered the worker;
+* every sequence of the batch is still in flight, so ``_purge`` would do
+  nothing and the batch is still the running set;
+* ``_admit`` would admit nothing: the counted ``load`` equals the running
+  count (the queue and ``forming`` are empty), or the running set is at
+  the module's target batch;
+* block mode, since preempt mode grows every reservation per decode.
+
+Both paths start an iteration through ``_start_iteration``, which reads
+the worker's degrade factor afresh each time (a straggler fault can
+begin or end between two iterations), so records, window samples and
+event order are those of going through ``_step`` every time.
 """
 
 from __future__ import annotations
@@ -100,7 +121,10 @@ class LLMWorker(Worker):
         """Evict sequences a sibling branch already dropped (free their KV)."""
         in_flight = RequestStatus.IN_FLIGHT
         running = self._running
-        if all(r.status is in_flight for r in running):
+        for r in running:
+            if r.status is not in_flight:
+                break
+        else:
             return
         keep = []
         for r in running:
@@ -236,8 +260,9 @@ class LLMWorker(Worker):
             return
         now = self.sim.now
         self._purge()
-        self._admit(now)
         running = self._running
+        if self.load != len(running):  # else queue and forming are empty
+            self._admit(now)
         if not running:
             if self.draining and self.idle:
                 self.module.reap(self)
@@ -257,14 +282,27 @@ class LLMWorker(Worker):
             if profile.preempt:
                 self._grow_reservations()
             duration = profile.decode_duration(len(running))
+        batch = Batch(list(running), now, now)
+        self._start_iteration(batch, now, duration, prefill_seqs)
+
+    def _start_iteration(
+        self,
+        batch: Batch,
+        now: float,
+        duration: float,
+        prefill_seqs: list[Request] | None,
+    ) -> None:
+        """Run ``batch`` for one iteration of ``duration`` from ``now``."""
         if self.degrade_factor != 1.0:
             duration *= self.degrade_factor  # straggler fault active
-        batch = Batch(requests=list(running), start=now, end=now + duration)
+        batch.start = now
+        batch.end = end = now + duration
         self.executing = batch
-        self.telemetry.batches += 1
-        self.telemetry.busy_time += duration
-        module.stats.record_batch(now, batch.size)
-        self.sim.schedule(batch.end, self._finish_step, batch, prefill_seqs)
+        telemetry = self.telemetry
+        telemetry.batches += 1
+        telemetry.busy_time += duration
+        self.module.stats.record_batch(now, len(batch.requests))
+        self.sim.schedule(end, self._finish_step, batch, prefill_seqs)
 
     def _finish_step(
         self, batch: Batch, prefill_seqs: list[Request] | None
@@ -281,14 +319,16 @@ class LLMWorker(Worker):
         retired: list[Request] = []
         if producers:
             share = (batch.end - batch.start) / len(producers)
+            generated_by = self._generated
             for request in producers:
                 visit = request.visits[module_id]
                 if visit.t_exec_start is None:
                     visit.t_exec_start = batch.start
                     visit.batch_size = batch.size
                 visit.gpu_time += share
-                generated = self._generated.get(request.rid, 0) + 1
-                self._generated[request.rid] = generated
+                rid = request.rid
+                generated = generated_by.get(rid, 0) + 1
+                generated_by[rid] = generated
                 if request.first_token_at is None:
                     request.first_token_at = now
                 request.last_token_at = now
@@ -296,12 +336,24 @@ class LLMWorker(Worker):
                 if generated >= visit.output_tokens:
                     # Last token: free the KV reservation and retire.
                     visit.t_exec_end = now
-                    self._release(request.rid)
-                    self._generated.pop(request.rid, None)
+                    self._release(rid)
+                    del generated_by[rid]
                     self._running.remove(request)
                     self.load -= 1
                     self.telemetry.executed_requests += 1
                     retired.append(request)
+        if prefill_seqs is None and not retired and len(producers) == len(source):
+            # A quiet decode iteration (see the module docstring): continue
+            # in place when _step would only start the same decode again.
+            running = self._running
+            profile = module.profile
+            if not profile.preempt and (
+                self.load == len(running) or len(running) >= module.target_batch
+            ):
+                self._start_iteration(
+                    batch, now, profile.decode_duration(len(running)), None
+                )
+                return
         # Forward retirees only after all engine bookkeeping is settled:
         # on_module_done can synchronously re-enter this worker (a shared
         # pool serving consecutive pipeline modules dispatches right back),

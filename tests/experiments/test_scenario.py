@@ -151,6 +151,26 @@ def _shared(**fields) -> dict:
     return {"tenants": [tenant], **fields}
 
 
+_PLAIN_PROFILE = {"name": "probe", "base": 0.01, "per_item": 0.002}
+_LLM_PROFILE = {
+    "kind": "llm", "name": "gen", "max_batch": 4,
+    "prompt_dist": {"kind": "uniform", "low": 8, "high": 16},
+    "output_dist": {"kind": "lognormal", "mean": 12, "sigma": 0.5},
+}
+
+
+def _profiled(profile: dict, **fields) -> dict:
+    """A one-module chain over ``profile`` with ``fields`` overridden."""
+    for key, value in fields.items():
+        if "." in key:  # a token distribution field, "prompt_dist.mean"
+            dist, name = key.split(".")
+            profile = {**profile, dist: {**profile[dist], name: value}}
+        else:
+            profile = {**profile, key: value}
+    return {"app": {"chain": [profile["name"]], "slo": 5.0,
+                    "profiles": [profile]}}
+
+
 #: field -> (scenario dict with the field set to a value, field in errors).
 NON_FINITE_CASES = {
     "drain": (lambda v: _single(drain=v), "drain"),
@@ -188,6 +208,26 @@ NON_FINITE_CASES = {
         lambda v: {"tenants": [{"weight": v,
                                 "scenario": {"app": {"name": "tm"}}}]},
         "tenant weight"),
+    **{
+        f"profile.{name}": (
+            lambda v, name=name: _profiled(_PLAIN_PROFILE, **{name: v}),
+            f"profile 'probe': {name}")
+        for name in ("base", "per_item")
+    },
+    **{
+        f"llm_profile.{name}": (
+            lambda v, name=name: _profiled(_LLM_PROFILE, **{name: v}),
+            f"profile 'gen': {name}")
+        for name in ("prefill_base", "prefill_per_token", "decode_base",
+                     "decode_per_token", "kv_capacity")
+    },
+    **{
+        f"llm_profile.{dist}.{name}": (
+            lambda v, key=f"{dist}.{name}": _profiled(_LLM_PROFILE, **{key: v}),
+            f"profile 'gen': {dist}: token distribution {name}")
+        for dist in ("prompt_dist", "output_dist")
+        for name in ("mean", "low", "high", "sigma")
+    },
 }
 
 
@@ -360,6 +400,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{what} must be finite") as err:
             scenario_from_dict(path(value))
         assert "\n" not in str(err.value)
+
+    def test_fractional_kv_capacity_rejected(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^profile 'gen': kv_capacity must be an integer, got 100.5$",
+        ):
+            scenario_from_dict(_profiled(_LLM_PROFILE, kv_capacity=100.5))
 
     def test_trace_scale_thinning_only(self):
         with pytest.raises(ValueError, match="scale"):

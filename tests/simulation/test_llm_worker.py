@@ -270,3 +270,111 @@ class TestBatchingPlanIntegration:
         workers = provision_workers(spec, registry, plan, rate=120.0)
         for mid, n in workers.items():
             assert module_throughput(profile, plan[mid], n) >= 120.0
+
+
+class TestFaultsBetweenIterations:
+    """A fault that lands while one batch decodes acts on its very next
+    iteration: each iteration reads the worker's current degrade factor,
+    and a kill voids the iteration then in flight."""
+
+    B = 3  # sequences decoding together, all with the same output length
+    TOKENS = 60
+
+    def decoding_cluster(self) -> tuple[Cluster, LLMProfile]:
+        profile = llm_profile(
+            output_dist=TokenDist(kind="constant", mean=float(self.TOKENS))
+        )
+        cluster = llm_cluster(profile)
+        for _ in range(self.B):
+            cluster.submit_at(0.0)
+        return cluster, profile
+
+    def probe_iterations(self, cluster: Cluster, at: float) -> dict:
+        """Span of the iteration running at ``at`` and of the next one."""
+        worker = cluster.modules["m1"].workers[0]
+        spans: dict[str, tuple[float, float, int]] = {}
+
+        def record(key: str) -> None:
+            batch = worker.executing
+            spans[key] = (batch.start, batch.end, batch.size)
+
+        def current() -> None:
+            record("current")
+            # Scheduled after the pending _finish_step at batch.end, so it
+            # sees the iteration that one starts.
+            cluster.sim.schedule(worker.executing.end, record, "next")
+
+        cluster.sim.schedule(at, current)
+        return spans
+
+    def test_degrade_and_restore_reach_the_next_iteration(self):
+        factor = 3.0
+        cluster, profile = self.decoding_cluster()
+        FailureInjector(cluster, events=[
+            FailureEvent(time=0.02, module_id="m1", downtime=0.03,
+                         kind="degrade", factor=factor)
+        ]).schedule_all()
+        # Same-time events run in scheduling order: the probe at 0.02
+        # runs after the degrade, the one at 0.05 before the restore
+        # (which the degrade schedules only once the run has started).
+        onset = self.probe_iterations(cluster, at=0.02)
+        restore = self.probe_iterations(cluster, at=0.05)
+        cluster.sim.run()
+        plain = profile.decode_duration(self.B)
+        for spans, at, before, after in (
+            (onset, 0.02, plain, plain * factor),
+            (restore, 0.05, plain * factor, plain),
+        ):
+            (s0, e0, size0), (s1, e1, size1) = spans["current"], spans["next"]
+            assert s0 < at < e0
+            assert size0 == size1 == self.B
+            assert e0 - s0 == pytest.approx(before, rel=1e-9)
+            assert s1 == e0
+            assert e1 - s1 == pytest.approx(after, rel=1e-9)
+        assert all(r.tokens_out == self.TOKENS for r in cluster.metrics.records)
+        assert_clean(cluster)
+
+    def test_kill_voids_the_iteration_in_flight(self):
+        kill_at, downtime = 0.03, 0.02
+        cluster, _ = self.decoding_cluster()
+        module = cluster.modules["m1"]
+        worker = module.workers[0]
+        probe: dict[str, object] = {}
+
+        def before_kill() -> None:
+            batch = probe["batch"] = worker.executing
+            # Mid-decode, several iterations into one running set.
+            assert batch.size == self.B and worker.telemetry.batches >= 4
+            assert batch.start < kill_at < batch.end
+
+        def after_kill() -> None:
+            assert worker not in module.workers and probe["batch"].aborted
+            probe["iterations"] = worker.telemetry.batches
+            probe["tokens"] = [r.tokens_out for r in module._parked]
+
+        def before_recovery() -> None:
+            parked = module._parked
+            assert module.n_workers == 0 and len(parked) == self.B
+            # The dead worker ran no further iteration and streamed no
+            # token after the kill: its pending _finish_step was void.
+            assert worker.telemetry.batches == probe["iterations"]
+            assert [r.tokens_out for r in parked] == probe["tokens"]
+            assert all(r.last_token_at < kill_at for r in parked)
+            probe["checked"] = True
+
+        # Same-time events run in scheduling order: before_kill, the
+        # kill, then after_kill.
+        cluster.sim.schedule(kill_at, before_kill)
+        FailureInjector(cluster, events=[
+            FailureEvent(time=kill_at, module_id="m1", downtime=downtime)
+        ]).schedule_all()
+        cluster.sim.schedule(kill_at, after_kill)
+        cluster.sim.schedule(kill_at + downtime / 2, before_recovery)
+        cluster.sim.run()
+        assert probe["checked"]
+        records = cluster.metrics.records
+        assert len(records) == self.B
+        assert all(r.status is RequestStatus.COMPLETED for r in records)
+        # Generation restarts on the replacement worker.
+        assert all(r.tokens_out > self.TOKENS for r in records)
+        assert_clean(cluster)
