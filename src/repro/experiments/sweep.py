@@ -53,7 +53,7 @@ from .runner import run_multi_scenario, run_scenario
 from .scenario import MultiScenario, Scenario, scenario_axes
 
 #: Fingerprint schema version; bump when the cached payload shape changes.
-_CACHE_SCHEMA = 3
+_CACHE_SCHEMA = 4
 
 _source_digest_cache: str | None = None
 

@@ -45,14 +45,9 @@ def summarize(collector: MetricsCollector, duration: float | None = None) -> Sum
     """Aggregate a run's streaming counters into a :class:`Summary`.
 
     O(1): the collector maintains every summary input incrementally as
-    requests reach terminal states, so summarising no longer re-scans the
-    record list (and works for ``lean`` collectors that keep no records).
-    A collector whose ``records`` were populated by hand — bypassing
-    :meth:`~MetricsCollector.record_request` — falls back to a full scan.
+    requests reach terminal states, so summarising never reads the
+    records (and works for ``lean`` collectors that keep none).
     """
-    records = collector.records
-    if len(records) > collector.count:
-        return _summarize_records(records, duration)
     total = collector.count
     if total == 0:
         return Summary(0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0)
@@ -77,7 +72,7 @@ def summarize(collector: MetricsCollector, duration: float | None = None) -> Sum
 def _summarize_records(
     records: Sequence[RequestRecord], duration: float | None
 ) -> Summary:
-    """Record-scan summary for collectors built without streaming counters."""
+    """The record-scan definition the streaming counters reproduce."""
     total = len(records)
     if total == 0:
         return Summary(0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0)
@@ -109,7 +104,8 @@ def merge_collectors(
 
     The aggregate view of a shared (multi-tenant) cluster run: all the
     per-window and per-module analyses in this module work unchanged on
-    the merged records.  Records are concatenated in input order; the
+    the merged records.  Records are concatenated in input order, column
+    by column, with module codes remapped into the merged table; the
     originals are not modified.  The merge is lean, and holds no records,
     when any part is lean: its records could not cover every request.
     """
@@ -125,52 +121,8 @@ def merge_collectors(
     if len(specs) == 1:
         merged.goodput = specs.pop()
     for collector in parts:
-        if not merged.lean:
-            merged.records.extend(collector.records)
-        merged.submitted += collector.submitted
-        merged.res_retries += collector.res_retries
-        merged.res_hedges += collector.res_hedges
-        merged.res_timeouts += collector.res_timeouts
-        merged.res_fallbacks += collector.res_fallbacks
-        merged.gp_good += collector.gp_good
-        merged.gp_ttft_met += collector.gp_ttft_met
-        merged.gp_tpot_met += collector.gp_tpot_met
-        merged.gp_e2e_met += collector.gp_e2e_met
-        merged.gp_tokens_out += collector.gp_tokens_out
-        if not collector.lean and len(collector.records) == collector.count:
-            # Fold record by record: the aggregate's float totals then
-            # accumulate in exactly the concatenation order a full scan
-            # would use, keeping merged summaries bit-identical to one.
-            for r in collector.records:
-                _fold_record(merged, r)
-        else:
-            # Lean collectors have no records; fold their subtotals.
-            merged.count += collector.count
-            merged.completed_count += collector.completed_count
-            merged.good_count += collector.good_count
-            merged.dropped_count += collector.dropped_count
-            merged.gpu_time_total += collector.gpu_time_total
-            merged.wasted_gpu_total += collector.wasted_gpu_total
-            merged.first_sent = min(merged.first_sent, collector.first_sent)
-            merged.last_sent = max(merged.last_sent, collector.last_sent)
+        merged._extend(collector)
     return merged
-
-
-def _fold_record(collector: MetricsCollector, r: RequestRecord) -> None:
-    """Update a collector's streaming counters with one existing record."""
-    collector.count += 1
-    if r.status is RequestStatus.COMPLETED:
-        collector.completed_count += 1
-    if r.met_slo:
-        collector.good_count += 1
-    if r.counts_as_dropped:
-        collector.dropped_count += 1
-        collector.wasted_gpu_total += r.gpu_time
-    collector.gpu_time_total += r.gpu_time
-    if r.sent_at < collector.first_sent:
-        collector.first_sent = r.sent_at
-    if r.sent_at > collector.last_sent:
-        collector.last_sent = r.sent_at
 
 
 def per_app_summaries(
@@ -193,7 +145,7 @@ def per_app_summaries(
     return out
 
 
-def _window_edges(records: list[RequestRecord], window: float) -> np.ndarray:
+def _window_edges(records: Sequence[RequestRecord], window: float) -> np.ndarray:
     t_end = max(r.sent_at for r in records)
     return np.arange(0.0, t_end + window, window)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
+from ..pipeline.profiles import check_finite
 from ..simulation.request import RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -42,6 +43,7 @@ class GoodputSpec:
     e2e: float | None = None
 
     def __post_init__(self) -> None:
+        check_finite(self, _SPEC_KEYS, "goodput constraint ")
         for name in _SPEC_KEYS:
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -152,15 +154,12 @@ def goodput_report(
     """Build the report from a collector's streaming goodput counters.
 
     ``None`` when the collector has no declared constraints.  Works for
-    lean collectors; like :func:`~repro.metrics.analysis.summarize`, a
-    collector whose records were populated by hand falls back to a scan.
+    lean collectors: like :func:`~repro.metrics.analysis.summarize`, it
+    never reads the records.
     """
     spec = collector.goodput
     if spec is None or not spec.declared:
         return None
-    records = collector.records
-    if len(records) > collector.count:
-        return _report_from_records(spec, records, duration)
     total = collector.count
     if total == 0:
         return GoodputReport(spec, 0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)
@@ -183,6 +182,7 @@ def goodput_report(
 def _report_from_records(
     spec: GoodputSpec, records, duration: float | None
 ) -> GoodputReport:
+    """The record-scan definition the streaming counters reproduce."""
     total = len(records)
     if total == 0:
         return GoodputReport(spec, 0, 0, 0, 0, 0, 0, 0, 0.0, 0.0)

@@ -17,6 +17,7 @@ a data-plane module maps back to a position in the pipeline DAG
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import count
 
 from ..metrics.collector import MetricsCollector
 from ..pipeline.applications import Application
@@ -37,8 +38,9 @@ class RequestFlow:
     and :class:`repro.simulation.tenancy.TenantView` (modules are shared
     pools).  Expects the host to provide ``sim``, ``spec``, ``slo``,
     ``metrics``, ``router``, ``hop_delay``, ``modules`` (DAG module id ->
-    data-plane :class:`Module`) and ``entry_id``, and to call
-    :meth:`_init_flow_state` before the first request.
+    data-plane :class:`Module`), ``entry_id`` and ``_rids`` (the run's
+    request-id counter), and to call :meth:`_init_flow_state` before the
+    first request.
 
     Join accounting follows the token-flow model (see
     :mod:`repro.pipeline.spec`): a request carries one token per active
@@ -111,7 +113,8 @@ class RequestFlow:
 
     def submit_at(self, t: float, slo: float | None = None) -> Request:
         """Schedule a request to be sent at simulation time ``t``."""
-        request = Request(sent_at=t, slo=self.slo if slo is None else slo)
+        request = Request(sent_at=t, slo=self.slo if slo is None else slo,
+                          rid=next(self._rids))
         self.sim.schedule(t, self.submit, request)
         return request
 
@@ -123,7 +126,8 @@ class RequestFlow:
         once its send time is reached — unlike :meth:`submit_at`, which
         allocates the request up front.
         """
-        request = Request(sent_at=t, slo=self.slo if slo is None else slo)
+        request = Request(sent_at=t, slo=self.slo if slo is None else slo,
+                          rid=next(self._rids))
         self.submit(request)
         return request
 
@@ -344,6 +348,9 @@ class Cluster(RequestFlow):
         self.sync_interval = sync_interval
         self.router = router or StaticRouter()
         self.hop_delay = hop_delay
+        # Request ids count from 0 per cluster, so a run's records do not
+        # depend on what else ran in the process before it.
+        self._rids = count()
 
         entries = self.spec.entry_ids
         if len(entries) != 1:

@@ -94,7 +94,7 @@ class ArrivalLane:
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at ``time`` in this lane's slot."""
-        if time < self._sim._now:
+        if not time >= self._sim._now:  # also refuses NaN
             raise ValueError(
                 f"cannot schedule event at {time:.6f}s before "
                 f"now={self._sim._now:.6f}s"
@@ -159,10 +159,10 @@ class Simulator:
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation ``time``.
 
-        Scheduling in the past raises ``ValueError`` — the engine never
-        rewinds the clock.
+        Scheduling in the past, or at NaN, raises ``ValueError`` — the
+        engine never rewinds the clock.
         """
-        if time < self._now:
+        if not time >= self._now:  # also refuses NaN
             raise ValueError(
                 f"cannot schedule event at {time:.6f}s before now={self._now:.6f}s"
             )

@@ -95,6 +95,8 @@ class Request:
 
     sent_at: float
     slo: float
+    # Clusters number their requests per run; the process-wide default
+    # only serves requests built by hand.
     rid: int = field(default_factory=lambda: next(_rid_counter))
     app: str = ""  # owning application (set by multi-tenant clusters)
     status: RequestStatus = RequestStatus.IN_FLIGHT

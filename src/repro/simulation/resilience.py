@@ -32,8 +32,10 @@ request already visited degrades to a drop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
+from ..pipeline.profiles import check_finite
 from .request import DropReason, Request, RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -73,6 +75,11 @@ class HopResilience:
             raise ValueError(
                 "a resilience hop needs at least a timeout or a hedge delay"
             )
+        check_finite(self, ("timeout", "hedge"), "resilience ")
+        check_finite(
+            SimpleNamespace(base=self.backoff_base, jitter=self.backoff_jitter),
+            ("base", "jitter"), "resilience retry.",
+        )
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("resilience timeout must be > 0")
         if self.on_timeout not in ON_TIMEOUT:

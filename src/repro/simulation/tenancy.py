@@ -31,6 +31,7 @@ Three pieces make that work:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Sequence
 
 from ..interfaces import DropPolicy, RequestQueue
@@ -150,6 +151,7 @@ class TenantView(RequestFlow):
         self.rng = shared.rng
         self.router = tenant.router or StaticRouter()
         self.hop_delay = shared.hop_delay
+        self._rids = shared._rids
         entries = self.spec.entry_ids
         if len(entries) != 1:
             raise ValueError(
@@ -251,6 +253,9 @@ class SharedCluster:
         self.rng = rng or RngStreams(seed=0)
         self.sync_interval = sync_interval
         self.hop_delay = hop_delay
+        # One request-id counter for every tenant: LLM workers in a shared
+        # pool key KV reservations by rid.
+        self._rids = count()
         self.tenants: dict[str, Tenant] = {t.name: t for t in tenants}
 
         self.pool_specs, self._pool_by_member = assign_pools(
@@ -387,7 +392,8 @@ class SharedCluster:
         """Schedule one request for ``tenant`` at simulation time ``t``."""
         view = self.views[tenant]
         request = Request(
-            sent_at=t, slo=view.slo if slo is None else slo, app=tenant
+            sent_at=t, slo=view.slo if slo is None else slo, app=tenant,
+            rid=next(self._rids),
         )
         self.sim.schedule(t, view.submit, request)
         return request
@@ -402,7 +408,8 @@ class SharedCluster:
         """
         view = self.views[tenant]
         request = Request(
-            sent_at=t, slo=view.slo if slo is None else slo, app=tenant
+            sent_at=t, slo=view.slo if slo is None else slo, app=tenant,
+            rid=next(self._rids),
         )
         view.submit(request)
         return request

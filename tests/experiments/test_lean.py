@@ -11,6 +11,7 @@ from repro.experiments.scenario import MultiScenario, Scenario
 from repro.experiments.sweep import SweepCell, cell_fingerprint, execute_cell
 from repro.metrics.analysis import merge_collectors, summarize
 from repro.metrics.collector import MetricsCollector
+from repro.simulation.request import RequestStatus
 
 
 def _scenario() -> Scenario:
@@ -45,7 +46,7 @@ class TestLeanParity:
         lean = run_scenario(_scenario(), lean=True)
         assert lean.summary == full.summary  # exact, not approx
         assert full.collector.records
-        assert lean.collector.records == []
+        assert not lean.collector.records
         assert lean.collector.lean
         # The streaming counters still answer len() and summarize().
         assert len(lean.collector) == len(full.collector)
@@ -75,7 +76,7 @@ class TestLeanParity:
         b = run_scenario(replace(_scenario(), seed=1), lean=True).collector
         merged = merge_collectors([a, b])
         assert merged.lean
-        assert merged.records == []
+        assert not merged.records
         assert len(merged) == a.count + b.count
 
 
@@ -124,17 +125,25 @@ class TestLeanCells:
 
 class TestCollectorCounters:
     def test_hand_built_records_fall_back_to_scan(self):
-        from repro.simulation.request import Request
+        """The streamed counters agree with the record-scan definition
+        (``_summarize_records``) over the same collector's records."""
+        from repro.metrics.analysis import _summarize_records
+        from repro.simulation.request import DropReason, Request
 
-        direct = MetricsCollector()
-        via_api = MetricsCollector()
-        for i in range(3):
+        collector = MetricsCollector()
+        for i in range(6):
             r = Request(sent_at=float(i), slo=1.0)
-            r.mark_completed(float(i) + 0.5)
-            via_api.record_request(r)
-            r2 = Request(sent_at=float(i), slo=1.0)
-            r2.mark_completed(float(i) + 0.5)
-            via_api2 = MetricsCollector()
-            via_api2.record_request(r2)
-            direct.records.extend(via_api2.records)  # bypasses counters
-        assert summarize(direct, duration=3.0) == summarize(via_api, duration=3.0)
+            r.begin_visit("m1", float(i)).gpu_time = 0.25 * i
+            if i % 3 == 2:
+                r.mark_dropped("m1", DropReason.ESTIMATED_VIOLATION, i + 0.25)
+            else:
+                r.mark_completed(i + 0.5 * i)  # late from i == 3 on
+            collector.record_request(r)
+        records = collector.records
+        assert {r.status for r in records} == {
+            RequestStatus.COMPLETED, RequestStatus.DROPPED}
+        assert not all(r.met_slo for r in records
+                       if r.status is RequestStatus.COMPLETED)
+        for duration in (3.0, None):
+            assert summarize(collector, duration) == _summarize_records(
+                records, duration)

@@ -11,8 +11,13 @@ from repro.experiments.configs import (
     standard_scenario,
 )
 from repro.experiments import runner
-from repro.experiments.runner import ExperimentConfig, build_cluster, run_scenario
-from repro.experiments.scenario import Scenario
+from repro.experiments.runner import (
+    ExperimentConfig,
+    build_cluster,
+    run_multi_scenario,
+    run_scenario,
+)
+from repro.experiments.scenario import MultiScenario, Scenario
 from repro.experiments.sweep import sweep_grid
 
 
@@ -140,6 +145,32 @@ class TestRunner:
         ))
         assert result.summary.total == result.trace.count()
         assert result.collector.submitted == result.trace.count()
+
+    def test_repeat_run_gives_equal_records_rid_for_rid(self):
+        """Request ids count per cluster, not per process: the same
+        scenario run twice in one process records the same rids."""
+        scenario = Scenario(
+            app={"name": "tm"}, policy="PARD", workers=2,
+            trace={"name": "tweet", "base_rate": 30, "duration": 4.0},
+        )
+        first = run_scenario(scenario).collector.records
+        second = run_scenario(scenario).collector.records
+        assert first and first == second
+        assert sorted(r.rid for r in first) == list(range(len(first)))
+
+    def test_shared_cluster_tenants_share_one_rid_counter(self):
+        multi = MultiScenario.from_dict({"tenants": [
+            {"scenario": {
+                "name": name, "app": {"name": name}, "policy": "PARD",
+                "trace": {"name": "poisson", "base_rate": 20,
+                          "duration": 3.0}}}
+            for name in ("tm", "lv")
+        ], "workers": 2})
+        runs = [run_multi_scenario(multi).collectors for _ in range(2)]
+        assert runs[0]["tm"].records == runs[1]["tm"].records
+        assert runs[0]["lv"].records == runs[1]["lv"].records
+        rids = [r.rid for c in runs[0].values() for r in c.records]
+        assert sorted(rids) == list(range(len(rids)))
 
     def test_system_factories_cover_paper_systems(self):
         assert set(SYSTEM_FACTORIES) == {"PARD", "Nexus", "Clipper++", "Naive"}

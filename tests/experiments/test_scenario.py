@@ -197,6 +197,25 @@ NON_FINITE_CASES = {
         lambda v: _single(failures=[{"time": 1.0, "module_id": "m1",
                                      "kind": "degrade", "factor": v}]),
         "failure factor"),
+    **{
+        f"goodput.{name}": (
+            lambda v, name=name: _single(goodput={name: v}),
+            f"goodput constraint {name}")
+        for name in ("ttft", "tpot", "e2e")
+    },
+    "resilience.timeout": (
+        lambda v: _single(resilience={"m1": {"timeout": v}}),
+        "resilience timeout"),
+    "resilience.hedge": (
+        lambda v: _single(resilience={"m1": {"hedge": v}}),
+        "resilience hedge"),
+    **{
+        f"resilience.retry.{name}": (
+            lambda v, name=name: _single(
+                resilience={"m1": {"timeout": 1.0, "retry": {name: v}}}),
+            f"resilience retry.{name}")
+        for name in ("base", "jitter")
+    },
     "multi.drain": (lambda v: _shared(drain=v), "drain"),
     "multi.sync_interval": (lambda v: _shared(sync_interval=v), "sync_interval"),
     "multi.stats_window": (lambda v: _shared(stats_window=v), "stats_window"),

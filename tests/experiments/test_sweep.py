@@ -36,17 +36,6 @@ def tiny_cells(policies=("Naive", "Nexus"), seeds=(0,)) -> list[SweepCell]:
     ]
 
 
-def _rebased(result: CellResult) -> list:
-    """The cell's records, with rids counted from the run's first request.
-
-    Request ids come from a process-wide counter, so a pool worker numbers
-    a cell's requests from another start than the serial process does.
-    """
-    records = result.collector.records
-    first = min(r.rid for r in records)
-    return [r._replace(rid=r.rid - first) for r in records]
-
-
 class TestGrid:
     def test_cross_product(self):
         cells = sweep_grid(
@@ -99,7 +88,7 @@ class TestDeterminism:
             assert a.summary == b.summary == c.summary
             assert a.cell.label() == b.cell.label() == c.cell.label()
             assert a.collector.records
-            assert _rebased(a) == _rebased(b) == _rebased(c)
+            assert a.collector.records == b.collector.records == c.collector.records
 
     def test_cell_is_picklable(self):
         cell = tiny_cells()[0]

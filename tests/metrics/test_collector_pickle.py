@@ -1,4 +1,4 @@
-"""Pickle form of :class:`MetricsCollector`: records travel as flat rows.
+"""Pickle form of :class:`MetricsCollector`: columns travel as raw bytes.
 
 Sweep results reach the process pool and the on-disk cell cache by
 pickle, so a round trip must rebuild every record exactly, and the
@@ -72,18 +72,13 @@ def test_round_trip_is_exact(case):
 
 
 def test_pickle_size_in_objects_does_not_grow_with_records():
-    collector = _collector(BURSTY_TM)
-    records = collector.records
-    assert len(records) >= 1000
-    # The small sample keeps one record of each status and drop reason,
-    # so both pickles name the same enum members.
-    kinds = {}
-    for r in records:
-        kinds.setdefault((r.status, r.drop_reason), r)
-    sample = list(kinds.values())
-    sample += records[: 10 - len(sample)]
-    builds = []
-    for subset in (sample, records):
-        collector.records = subset
-        builds.append(_object_builds(collector))
-    assert builds[0] == builds[1]
+    # The long run adds drops and drop reasons the short run never saw,
+    # and still pickles the same objects.
+    short = _collector({"app": {"name": "tm"},
+                        "trace": {"name": "poisson", "duration": 1,
+                                  "base_rate": 10}})
+    long = _collector(BURSTY_TM)
+    assert len(short.records) < 20 and not short.dropped_count
+    assert len(long.records) >= 1000
+    assert {r.drop_reason for r in long.records} - {None}
+    assert _object_builds(short) == _object_builds(long)

@@ -10,6 +10,7 @@ from repro.metrics.analysis import merge_collectors
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.goodput import (
     GoodputSpec,
+    _report_from_records,
     constraint_checks,
     goodput_report,
     is_good,
@@ -135,15 +136,15 @@ class TestCollectorCounters:
         )
 
     def test_record_scan_fallback_agrees_with_streaming(self):
+        """The streamed counters agree with the record-scan definition
+        (``_report_from_records``) over the same collector's records."""
         streamed = MetricsCollector(goodput=SPEC)
         for r in _requests():
             streamed.record_request(r)
-        # Hand-populated records (count == 0) force the scan path.
-        scanned = MetricsCollector(goodput=SPEC)
-        scanned.records.extend(streamed.records)
-        assert goodput_report(scanned, duration=2.0) == goodput_report(
-            streamed, duration=2.0
-        )
+        for duration in (2.0, None):
+            assert goodput_report(streamed, duration) == _report_from_records(
+                SPEC, streamed.records, duration
+            )
 
     def test_report_none_without_declared_constraints(self):
         collector = MetricsCollector()

@@ -41,6 +41,22 @@ def test_schedule_in_past_raises(sim):
         sim.schedule(0.5, lambda: None)
 
 
+def test_schedule_at_nan_raises(sim):
+    """NaN compares false both ways, so a ``time < now`` check let it in
+    and the event fired between the finite ones (``['b', 'nan', 'a']``)."""
+    fired = []
+    sim.schedule(2.0, fired.append, "a")
+    sim.schedule(1.0, fired.append, "b")
+    with pytest.raises(ValueError):
+        sim.schedule(float("nan"), fired.append, "nan")
+    with pytest.raises(ValueError):
+        sim.schedule_after(float("nan"), fired.append, "nan")
+    with pytest.raises(ValueError):
+        sim.open_lane().schedule(float("nan"), fired.append, "nan")
+    sim.run()
+    assert fired == ["b", "a"]
+
+
 def test_schedule_after_negative_delay_raises(sim):
     with pytest.raises(ValueError):
         sim.schedule_after(-0.1, lambda: None)

@@ -2,11 +2,11 @@
 
 Each case runs a small LLM scenario and hashes the ``repr`` of every
 full-mode record: visits included, floats by ``repr``, rids rebased to
-the run's first rid (rids come from a process-wide counter).  The
-processed-event count is pinned next to it.  Together they fix every
-token timestamp, GPU-time share, batch size, drop and engine event of
-the continuous-batching loop, so a change to how the engine schedules
-its iterations must leave every value below untouched.
+the run's first rid.  The processed-event count is pinned next to it.
+Together they fix every token timestamp, GPU-time share, batch size,
+drop and engine event of the continuous-batching loop, so a change to
+how the engine schedules its iterations must leave every value below
+untouched.
 
 Each case also checks that it reached the path it exists for, as far as
 records, telemetry or the fault log can show it: preemption, shared
