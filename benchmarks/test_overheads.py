@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import priority
 from repro.core.batch_wait import BatchWaitEstimator
 from repro.core.state_planner import StatePlanner
 from repro.policies.naive import NaivePolicy
@@ -29,8 +28,8 @@ def test_depq_push_pop_throughput(benchmark):
         for r in requests:
             queue.push(r, 0.0)
         for i in range(512):
-            # Worst case: the popped end alternates every pop, so every
-            # pop re-orients the heap.
+            # The popped end alternates every pop: the sorted run pops
+            # either end in O(1), so a flip costs nothing.
             controller.mode = LBF if i % 2 else HBF
             queue.pop(0.0)
         return queue
@@ -47,9 +46,13 @@ def test_depq_push_pop_throughput(benchmark):
 def test_depq_scaling_is_logarithmic(benchmark):
     """Cost per op grows mildly with queue size (log n, not linear).
 
-    The mode is held fixed during the timed ops, once per end: PARD's
-    controller changes a module's mode only at a sync tick, never
-    between consecutive pops.
+    The pushed keys land inside the queued range, so every push is a
+    bisect insert into the sorted run: an O(log n) search plus a move
+    of the entries behind the slot, a memmove that is cheap next to the
+    interpreter at these sizes.  Pops are O(1) at either end.  The mode
+    is held fixed during the timed ops, once per end: PARD's controller
+    changes a module's mode only at a sync tick, never between
+    consecutive pops.
     """
 
     def cost(n: int) -> float:
@@ -64,7 +67,7 @@ def test_depq_scaling_is_logarithmic(benchmark):
         for mode, half in ((LBF, pushed[: ops // 2]), (HBF, pushed[ops // 2:])):
             controller.mode = mode
             queue.push(Request(sent_at=0.0, slo=0.3), 0.0)
-            queue.pop(0.0)  # untimed: orients the heap for this mode
+            queue.pop(0.0)  # untimed: the first pop in this mode
             t0 = time.perf_counter()
             for r in half:
                 queue.push(r, 0.0)
@@ -81,43 +84,31 @@ def test_depq_scaling_is_logarithmic(benchmark):
     assert results[10_000] < results[100] * 10
 
 
-def test_depq_reorients_once_per_mode_change(monkeypatch):
-    """The O(n) re-orientation runs exactly once per mode change a pop
-    sees: never on push, never on a pop in the current orientation, and
-    not for a flip that is undone before the next pop."""
-    reorients = []
-    heapify = priority.heapify
-
-    def counting_heapify(heap):
-        reorients.append(len(heap))
-        heapify(heap)
-
-    monkeypatch.setattr(priority, "heapify", counting_heapify)
+def test_depq_mode_flip_rebuilds_nothing():
+    """HBF and LBF pop opposite ends of one sorted run, so a mode flip
+    moves no entry: after any sequence of flips and pops the live entries
+    are the same tuple objects, in the same order, minus the popped ones."""
     queue, controller = make_depq()
     rng = np.random.default_rng(1)
-    for k in rng.random(64).tolist():
+    for k in rng.random(256).tolist():
         queue.push(Request(sent_at=k, slo=0.3), 0.0)
-    expected = 0
-    oriented = LBF
+    live = queue._run[queue._head:]
+    assert [e[:2] for e in live] == sorted(e[:2] for e in live)
+    flips = 0
     for _ in range(400):
-        action = rng.integers(4)
-        if action == 0:
-            queue.push(Request(sent_at=float(rng.random()), slo=0.3), 0.0)
-        elif action == 1:
+        if rng.integers(3) == 0:
             controller.mode = HBF if controller.mode == LBF else LBF
+            flips += 1
         else:
-            if len(queue) and controller.mode != oriented:
-                expected += 1
-                oriented = controller.mode
-            queue.pop(0.0)
-        assert len(reorients) == expected
-    assert expected > 10
-    # A flip and flip back between pops costs nothing.
-    controller.mode = HBF if oriented == LBF else LBF
-    queue.push(Request(sent_at=0.5, slo=0.3), 0.0)
-    controller.mode = oriented
-    queue.pop(0.0)
-    assert len(reorients) == expected
+            popped = queue.pop(0.0)
+            if live:
+                assert popped is live.pop(-1 if controller.mode == HBF else 0)[2]
+            else:
+                assert popped is None
+        stored = queue._run[queue._head:]
+        assert len(stored) == len(live)
+        assert all(a is b for a, b in zip(stored, live))
+    assert flips > 100 and not live
 
 
 def test_state_sync_payload_size(benchmark):

@@ -9,14 +9,32 @@ batch) the broker has all bi-directional runtime information:
 * current — ``D_k = d_k`` from offline profiling at the planned batch size;
 * forward — ``L_sub`` from the State Planner (Equation 3b's q/d/w sums,
   maximum over DAG paths).
+
+``L_sub`` only changes when the planner synchronises, so
+:meth:`RequestBroker.refresh`, which the policy calls right after every
+planner sync (at bind and on each sync tick), writes it into one table
+keyed by data-plane module, for whichever ``sub`` mode is configured:
+
+* ``full`` — the planner's per-module estimate;
+* ``durations`` (PARD-sf) — the heaviest downstream path of profiled
+  durations, one reverse-topological pass over the DAG;
+* ``none`` (PARD-back) — 0.
+
+A module's row is its DAG position's value (a shared pool is translated
+to the tenant's module id once, here), so a drop decision reads one dict
+entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..interfaces import DropContext
 from .state_planner import StatePlanner
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..simulation.module import Module
 
 
 class SubMode:
@@ -50,14 +68,34 @@ class RequestBroker:
             raise ValueError(f"unknown sub mode {sub_mode!r}")
         self.planner = planner
         self.sub_mode = sub_mode
+        self._sub: dict[Module, float] = {}  # data-plane module -> L_sub
+
+    def refresh(self) -> None:
+        """Rebuild the ``L_sub`` table from the planner's last sync."""
+        cluster = self.planner.cluster
+        assert cluster is not None, "broker's planner is not bound"
+        spec = cluster.spec
+        if self.sub_mode == SubMode.NONE:
+            by_hop = dict.fromkeys(spec.module_ids, 0.0)
+        elif self.sub_mode == SubMode.DURATIONS:
+            by_hop = spec.downstream_path_max(
+                {mid: self.planner.state(mid).duration for mid in spec.module_ids}
+            )
+        else:
+            by_hop = {mid: self.planner.sub_estimate(mid) for mid in spec.module_ids}
+        # Translate each data-plane module to this pipeline's DAG position:
+        # in a shared cluster the pool id is not the tenant's module id.
+        self._sub = {
+            module: by_hop[cluster.hop_id(module)]
+            for module in cluster.modules.values()
+        }
 
     def estimate(self, ctx: DropContext) -> LatencyEstimate:
         """End-to-end latency estimate for the request in ``ctx``."""
-        backward = ctx.expected_start - ctx.request.sent_at
         return LatencyEstimate(
-            backward=backward,
+            backward=ctx.expected_start - ctx.request.sent_at,
             current_exec=ctx.batch_duration,
-            sub=self._sub(ctx),
+            sub=self._sub[ctx.module],
         )
 
     def estimate_total(self, ctx: DropContext) -> float:
@@ -70,31 +108,5 @@ class RequestBroker:
         return (
             ctx.expected_start - ctx.request.sent_at
             + ctx.batch_duration
-            + self._sub(ctx)
+            + self._sub[ctx.module]
         )
-
-    def _sub(self, ctx: DropContext) -> float:
-        """Forward component L_sub for the request's current module."""
-        assert self.planner.cluster is not None
-        # Translate the data-plane module to this pipeline's DAG position:
-        # in a shared cluster the pool id is not the tenant's module id.
-        module_id = self.planner.cluster.hop_id(ctx.module)
-        if self.sub_mode == SubMode.NONE:
-            return 0.0
-        if self.sub_mode == SubMode.DURATIONS:
-            return self._durations_only(module_id)
-        return self.planner.sub_estimate(module_id)
-
-    def _durations_only(self, module_id: str) -> float:
-        """Max over downstream paths of the profiled execution durations.
-
-        Read off the spec's single reverse-topological reduction instead
-        of enumerating paths (exponential on dense DAGs).  Durations are
-        refreshed by the planner per tick, so the table cannot be frozen
-        at bind time; one O(V + E) pass per estimate is still far cheaper
-        than the path walk it replaces.
-        """
-        assert self.planner.cluster is not None
-        spec = self.planner.cluster.spec
-        durations = {mid: self.planner.state(mid).duration for mid in spec.module_ids}
-        return spec.downstream_path_max(durations)[module_id]

@@ -77,6 +77,7 @@ class PardPolicy(DropPolicy):
     def bind(self, cluster) -> None:
         super().bind(cluster)
         self.planner.bind(cluster)
+        self.broker.refresh()
         self._recompute_static_budgets()
 
     def make_queue(self, module) -> RequestQueue:
@@ -88,6 +89,7 @@ class PardPolicy(DropPolicy):
         """Per-second state synchronisation (Figure 4, steps 1-3)."""
         assert self.cluster is not None
         self.planner.refresh(now)
+        self.broker.refresh()
         for module in self.cluster.modules.values():
             self.priority.update(module, now)
         if self.budget_mode == BudgetMode.WCL:

@@ -15,18 +15,17 @@ Requests in each worker's DEPQ are keyed by their remaining latency budget
   workload, so bursty traces get a wider hysteresis band.
 
 A module's mode changes only when :meth:`AdaptivePriorityController.update`
-runs at a sync tick, so between ticks every pop takes the same end.  The
-queue therefore keeps one ``heapq`` list oriented toward the end the
-current mode pops, and re-orients it (negate every key, re-heapify: O(n))
-only at the first pop after the mode flipped.
+runs at a sync tick.  The queue keeps its entries in one list sorted by
+deadline, so either end is a constant-time pop and a mode flip moves no
+entry: the next pop simply reads the other end.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING
 
 from ..interfaces import RequestQueue
@@ -173,42 +172,58 @@ class DeadlineDepqQueue(RequestQueue):
     FIFO among ties — and HBF the maximum — latest deadline, LIFO among
     ties.  ``seq`` is the push order, so ties never reach the request.
 
-    One ``heapq`` list holds ``(deadline, seq, request)`` entries while
-    the queue is oriented for LBF and ``(-deadline, -seq, request)`` for
-    HBF, so push and pop are each a single C heap call.  A pop that finds
-    the controller's mode differs from the orientation negates every
-    entry and re-heapifies once (O(n)); the controller flips a module's
-    mode only at a sync tick, so this is rare.  The FCFS ablation uses a
-    plain FIFO queue instead (the policy's ``make_queue`` handles that),
-    so modes never mix here.
+    The live entries are ``run[head:]``, one list of ``(deadline, seq,
+    request)`` tuples sorted by ``(deadline, seq)``.  Requests mostly
+    arrive in deadline order (``t_s`` grows and most pipelines share one
+    SLO), so a push usually appends; one that arrives out of order is
+    bisect-inserted after the head, an O(log n) search plus a move of the
+    entries behind it.  LBF pops the head by advancing ``head`` and HBF
+    pops the tail, both O(1), and a mode flip changes nothing stored.
+    The popped prefix is cut off once it is longer than ``_COMPACT``
+    entries and longer than the live run, so it costs O(1) amortized per
+    pop, and a pop that finds the queue empty clears it.  The FCFS
+    ablation uses a plain FIFO queue instead (the policy's
+    ``make_queue`` handles that), so modes never mix here.
     """
 
-    __slots__ = ("_module_id", "_controller", "_heap", "_hbf", "_seq")
+    __slots__ = ("_module_id", "_controller", "_run", "_head", "_seq")
+
+    #: Popped-prefix length below which LBF pops never compact the run.
+    _COMPACT = 64
 
     def __init__(self, module: "Module", controller: AdaptivePriorityController) -> None:
         self._module_id = module.spec.id
         self._controller = controller
-        self._heap: list[tuple[float, int, Request]] = []
-        self._hbf = False  # orientation: which end the heap root holds
+        self._run: list[tuple[float, int, Request]] = []
+        self._head = 0  # run[:head] is the popped prefix
         self._seq = itertools.count()
 
     def push(self, request: Request, now: float) -> None:
-        if self._hbf:
-            heappush(self._heap, (-request.deadline, -next(self._seq), request))
+        deadline = request.deadline
+        entry = (deadline, next(self._seq), request)
+        run = self._run
+        if run and deadline < run[-1][0]:
+            insort(run, entry, self._head)
         else:
-            heappush(self._heap, (request.deadline, next(self._seq), request))
+            run.append(entry)
 
     def pop(self, now: float) -> Request | None:
-        heap = self._heap
-        if not heap:
+        run = self._run
+        head = self._head
+        if head == len(run):
+            if head:  # drained: drop the popped prefix with it
+                run.clear()
+                self._head = 0
             return None
-        hbf = self._controller.current(self._module_id) == PriorityMode.HBF
-        if hbf is not self._hbf:
-            # The mode flipped since the last pop: re-orient in place.
-            self._hbf = hbf
-            heap[:] = [(-key, -seq, r) for key, seq, r in heap]
-            heapify(heap)
-        return heappop(heap)[2]
+        if self._controller.current(self._module_id) == PriorityMode.HBF:
+            return run.pop()[2]
+        request = run[head][2]
+        head += 1
+        if head > self._COMPACT and 2 * head > len(run):
+            del run[:head]
+            head = 0
+        self._head = head
+        return request
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._run) - self._head

@@ -468,6 +468,7 @@ class AppSpec:
             )
         if self.modules and self.slo is None:
             raise ValueError("an inline pipeline requires an explicit slo")
+        check_finite(self, ("slo",), "app ")
         if self.slo is not None and self.slo <= 0:
             raise ValueError("slo must be > 0")
 
@@ -657,6 +658,10 @@ class RouterSpec:
         if raw and self.kind == "static":
             raise ValueError("a static router takes no weights")
         for key, value in raw.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(
+                    f"router weight for {key!r} must be finite, got {value!r}"
+                )
             if not isinstance(value, (int, float)) or value <= 0:
                 raise ValueError(
                     f"router weight for {key!r} must be > 0, got {value}"

@@ -203,11 +203,11 @@ class TokenBucketPolicy(AdmissionPolicy):
 
 
 @register_admission("weighted-fair", params=(
-    ParamSpec("backlog", "float", 4.0,
+    ParamSpec("backlog", "float", 4.0, low=0, exclusive=True,
               help="queued requests per worker marking the pool congested"),
-    ParamSpec("window", "float", 5.0,
+    ParamSpec("window", "float", 5.0, low=0, exclusive=True,
               help="sliding demand-measurement window (s)"),
-    ParamSpec("slack", "float", 1.25,
+    ParamSpec("slack", "float", 1.25, low=1,
               help="tolerated overshoot of the weighted fair share"),
 ))
 def _weighted_fair(
@@ -217,9 +217,9 @@ def _weighted_fair(
 
 
 @register_admission("token-bucket", params=(
-    ParamSpec("rate", "float", 50.0,
+    ParamSpec("rate", "float", 50.0, low=0, exclusive=True,
               help="tokens/s per unit of tenant weight"),
-    ParamSpec("burst", "float", 2.0,
+    ParamSpec("burst", "float", 2.0, low=0, exclusive=True,
               help="bucket capacity, in seconds of the sustained rate"),
 ))
 def _token_bucket(

@@ -122,9 +122,9 @@ def register_admission(
 # -- the four systems ---------------------------------------------------------
 
 _MODE_PARAMS = (
-    ParamSpec("lam", "float", 0.1,
+    ParamSpec("lam", "float", 0.1, low=0, high=1,
               help="batch-wait quantile lambda (Figure 14a)"),
-    ParamSpec("samples", "int", 2000,
+    ParamSpec("samples", "int", 2000, low=1,
               help="Monte-Carlo samples for the wait distribution"),
     ParamSpec("sub_mode", "str", "full", choices=("full", "none", "durations"),
               help="forward-estimate content (PARD / -back / -sf)"),
@@ -173,16 +173,16 @@ def _naive(seed: int) -> DropPolicy:
 #: Pass-through knobs every PardPolicy-based ablation still exposes (its
 #: *defining* knob is fixed by the ablation itself and not re-exposed).
 _ABLATION_PARAMS = (
-    ParamSpec("lam", "float", 0.1,
+    ParamSpec("lam", "float", 0.1, low=0, high=1,
               help="batch-wait quantile lambda (Figure 14a)"),
-    ParamSpec("samples", "int", 10_000,
+    ParamSpec("samples", "int", 10_000, low=1,
               help="Monte-Carlo samples for the wait distribution"),
 )
 
 _OC_PARAMS = (
-    ParamSpec("threshold", "float", 0.020,
+    ParamSpec("threshold", "float", 0.020, low=0, exclusive=True,
               help="avg queueing delay marking a module overloaded (s)"),
-    ParamSpec("alpha", "float", 0.4,
+    ParamSpec("alpha", "float", 0.4, low=0, high=1, exclusive=True,
               help="fraction of entry traffic shed while overloaded"),
 )
 

@@ -11,15 +11,16 @@ policy-configuration space" and a Figure-11-style ablation grid is one
 serializable axis.
 
 Parameters are *declared* by the registry (:class:`ParamSpec`: name, type,
-default, choices) and validated here at spec-construction time — a typo'd
-knob or an out-of-range choice fails when the spec is built, not minutes
-into a sweep.
+default, choices, bounds) and validated here at spec-construction time — a
+typo'd knob, an out-of-range choice or value, or a NaN fails when the spec
+is built, not minutes into a sweep.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -37,7 +38,9 @@ class ParamSpec:
     Python type so the declaration itself serializes (``repro list
     --params`` prints it verbatim).  ``choices`` restricts the value to an
     enumerated set (mode knobs); ``default`` documents what the factory
-    uses when the parameter is not given.
+    uses when the parameter is not given.  ``low``/``high`` bound a
+    numeric value, inclusive unless ``exclusive`` makes both ends strict;
+    a numeric value must also be finite.
     """
 
     name: str
@@ -45,6 +48,9 @@ class ParamSpec:
     default: Any
     choices: tuple = ()
     help: str = ""
+    low: float | None = None
+    high: float | None = None
+    exclusive: bool = False
 
     def __post_init__(self) -> None:
         if self.type not in ("float", "int", "str", "bool"):
@@ -62,16 +68,17 @@ class ParamSpec:
             if not isinstance(value, bool):
                 raise ValueError(f"{where} must be true/false, got {value!r}")
             out: Any = value
-        elif self.type == "int":
+        elif self.type in ("int", "float"):
+            kind = "an integer" if self.type == "int" else "a number"
             if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{where} must be {kind}, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{where} must be finite, got {value!r}")
+            if self.type == "int" and int(value) != value:
                 raise ValueError(f"{where} must be an integer, got {value!r}")
-            if int(value) != value:
-                raise ValueError(f"{where} must be an integer, got {value!r}")
-            out = int(value)
-        elif self.type == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{where} must be a number, got {value!r}")
-            out = float(value)
+            out = int(value) if self.type == "int" else float(value)
+            if not self._in_bounds(out):
+                raise ValueError(f"{where} must be {self._bounds()}, got {value!r}")
         else:
             if not isinstance(value, str):
                 raise ValueError(f"{where} must be a string, got {value!r}")
@@ -82,9 +89,32 @@ class ParamSpec:
             )
         return out
 
+    def _in_bounds(self, value: float) -> bool:
+        low, high = self.low, self.high
+        if self.exclusive:
+            return (low is None or value > low) and (high is None or value < high)
+        return (low is None or value >= low) and (high is None or value <= high)
+
+    def _bounds(self) -> str:
+        """The declared range as text: ``in [0, 1]``, ``> 0``, ``>= 1``;
+        empty when the parameter is unbounded."""
+        low, high = self.low, self.high
+        if low is not None and high is not None:
+            left, right = "()" if self.exclusive else "[]"
+            return f"in {left}{low:g}, {high:g}{right}"
+        strict = "" if self.exclusive else "="
+        if low is not None:
+            return f">{strict} {low:g}"
+        if high is not None:
+            return f"<{strict} {high:g}"
+        return ""
+
     def describe(self) -> str:
         """One cell of ``repro list --params`` output."""
-        kind = "|".join(str(c) for c in self.choices) if self.choices else self.type
+        if self.choices:
+            kind = "|".join(str(c) for c in self.choices)
+        else:
+            kind = " ".join(filter(None, (self.type, self._bounds())))
         return f"{self.name}={self.default} ({kind})"
 
 

@@ -113,17 +113,36 @@ class Worker:
     # -- request flow -------------------------------------------------------
 
     def enqueue(self, request: Request) -> None:
-        """Accept a dispatched request and try to advance batching."""
-        self.load += 1
-        self.queue.push(request, self.sim.now)
-        self._draw()
+        """Accept a dispatched request and advance batching.
 
-    def _draw(self) -> None:
+        Same outcome as pushing the request and drawing, minus the queue
+        traffic that cannot change it:
+
+        * the forming batch has room and the queue is empty: the request
+          is decided on the spot (its t_b is now), since a push would
+          only pop it straight back;
+        * a batch is executing and the forming batch is full: the request
+          is only queued, since nothing can be drawn before that batch
+          ends;
+        * otherwise it is queued and the worker draws.
+        """
+        self.load += 1
+        full = len(self.forming) >= self.module.target_batch
+        if not full and not self.queue:
+            self._draw(request)
+            return
+        self.queue.push(request, self.sim.now)
+        if not full or self.executing is None:
+            self._draw()
+
+    def _draw(self, first: Request | None = None) -> None:
         """Pull requests from the queue into the forming batch.
 
         Each drawn request gets its drop decision here (t_b), with the
         expected batch start t_e known.  Respects the module's target batch
-        size as the forming capacity.
+        size as the forming capacity.  ``first``, when given, is a request
+        that never entered the queue (see :meth:`enqueue`); it is decided
+        before anything is popped.
         """
         now = self.sim.now
         module = self.module
@@ -146,9 +165,12 @@ class Worker:
         # resilience config never pay the per-request visit lookup.
         resilient = module._resilience is not None
         while len(forming) < target:
-            request = queue_pop(now)
-            if request is None:
-                break
+            if first is not None:
+                request, first = first, None
+            else:
+                request = queue_pop(now)
+                if request is None:
+                    break
             if request.status is not in_flight:
                 # A sibling DAG branch already dropped this request; skip it
                 # without spending GPU time (its earlier work is already

@@ -1,17 +1,19 @@
 """Tests for the deadline DEPQ every PARD worker queues in.
 
-``DeadlineDepqQueue`` keeps one heap oriented toward the end its module's
-priority mode pops and re-orients when the mode flips.  A stub controller
-sets the mode by hand; the model test flips it at random points between
-pushes and pops and checks every pop against a sorted-list oracle over
-``(deadline, seq)``.
+``DeadlineDepqQueue`` keeps one run sorted by ``(deadline, seq)``: LBF
+pops its head and HBF its tail, so a mode flip changes nothing stored.
+A stub controller sets the mode by hand.  The model tests check every pop
+against a sorted-list oracle over ``(deadline, seq)``: one flips the mode
+at random points between pushes and pops, the other feeds mostly
+ascending deadlines in long blocks, the traffic the run is built for,
+so tail appends, out-of-order inserts and head compaction all run.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.priority import DeadlineDepqQueue, PriorityMode
@@ -143,3 +145,63 @@ def test_property_heapsort_both_directions(deadlines):
     controller.mode = HBF
     assert drain(up) == sorted(deadlines)
     assert drain(down) == sorted(deadlines, reverse=True)
+
+
+# Mostly ascending deadlines: a push steps forward from the latest deadline
+# so far (a step of 0 ties it), and about one push in ten lands up to 64
+# steps behind it, out of order.
+STEPS = st.integers(0, 9).flatmap(
+    lambda k: st.integers(-64, -1) if k == 0 else st.integers(0, 4)
+)
+# Long blocks: up to 150 pushes, then up to 150 pops in one mode, so
+# LBF pops more than 64 in a row from a queue that holds that many.  The
+# push count is drawn first: a plain list strategy keeps lists short.
+PUSHES = st.integers(0, 150).flatmap(
+    lambda n: st.lists(STEPS, min_size=n, max_size=n)
+)
+BLOCKS = st.lists(
+    st.tuples(PUSHES, st.integers(0, 150), st.sampled_from([LBF, HBF])),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example([([1] * 100 + [-5] + [1] * 20, 90, LBF), ([2] * 10, 5, HBF)])
+@given(BLOCKS)
+def test_property_sorted_run_matches_sorted_list_model(blocks):
+    """Pushes mostly in deadline order, pops in long single-mode runs:
+    every pop, ``len()`` after every operation, and a final ``drain()``
+    in each mode match the sorted-list oracle."""
+    lbf, lbf_controller = make_queue()
+    hbf, hbf_controller = make_queue()
+    queues = (lbf, hbf)
+    model: list[tuple[float, int, Request]] = []  # sorted by (deadline, seq)
+    deadline = 100.0
+    seq = 0
+    for steps, pops, mode in blocks:
+        for step in steps:
+            key = deadline + step * 0.25
+            deadline = max(deadline, key)
+            request = Request(sent_at=key, slo=0.0)
+            for queue in queues:
+                queue.push(request, 0.0)
+            model.append((request.deadline, seq, request))
+            model.sort(key=lambda e: e[:2])
+            seq += 1
+            assert len(lbf) == len(hbf) == len(model)
+        lbf_controller.mode = hbf_controller.mode = mode
+        for _ in range(pops):
+            got = [queue.pop(0.0) for queue in queues]
+            if not model:
+                assert got == [None, None]
+            else:
+                end = -1 if mode == HBF else 0
+                expected = model.pop(end)[2]
+                assert got[0] is expected and got[1] is expected
+            assert len(lbf) == len(hbf) == len(model)
+    lbf_controller.mode, hbf_controller.mode = LBF, HBF
+    expected = [id(e[2]) for e in model]
+    assert [id(r) for r in lbf.drain(0.0)] == expected
+    assert [id(r) for r in hbf.drain(0.0)] == expected[::-1]
+    assert len(lbf) == len(hbf) == 0

@@ -216,6 +216,23 @@ NON_FINITE_CASES = {
             f"resilience retry.{name}")
         for name in ("base", "jitter")
     },
+    "app.slo": (lambda v: {"app": {"name": "tm", "slo": v}}, "app slo"),
+    "router.weight": (
+        lambda v: _single(router={"kind": "probabilistic",
+                                  "weights": {"m2": v}}),
+        "router weight for 'm2'"),
+    **{
+        f"policy.{name}": (
+            lambda v, policy=policy, name=name: _single(
+                policy={"name": policy, "params": {name: v}}),
+            f"policy '{policy}' param '{name}'")
+        for policy, name in (("PARD", "lam"), ("PARD", "samples"),
+                             ("PARD-oc", "threshold"), ("PARD-oc", "alpha"))
+    },
+    "multi.admission.rate": (
+        lambda v: _shared(admission={"name": "token-bucket",
+                                     "params": {"rate": v}}),
+        "policy 'token-bucket' param 'rate'"),
     "multi.drain": (lambda v: _shared(drain=v), "drain"),
     "multi.sync_interval": (lambda v: _shared(sync_interval=v), "sync_interval"),
     "multi.stats_window": (lambda v: _shared(stats_window=v), "stats_window"),
@@ -419,6 +436,23 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{what} must be finite") as err:
             scenario_from_dict(path(value))
         assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("policy, name, value, bound", [
+        ("PARD", "lam", 1.5, "in [0, 1]"),
+        ("PARD", "lam", -0.1, "in [0, 1]"),
+        ("PARD", "samples", 0, ">= 1"),
+        ("PARD-sf", "samples", -3, ">= 1"),
+        ("PARD-oc", "threshold", 0.0, "> 0"),
+        ("PARD-oc", "alpha", 1.0, "in (0, 1)"),
+    ])
+    def test_out_of_range_policy_params_rejected(self, policy, name, value, bound):
+        """These used to pass validate() and fail only inside the run, with
+        the constructor's message ("lambda must be in [0, 1]")."""
+        expected = f"policy '{policy}' param '{name}' must be {bound}, got {value!r}"
+        with pytest.raises(ValueError) as err:
+            scenario_from_dict(
+                _single(policy={"name": policy, "params": {name: value}}))
+        assert str(err.value) == expected
 
     def test_fractional_kv_capacity_rejected(self):
         with pytest.raises(

@@ -59,6 +59,26 @@ class TestConstruction:
         b = PolicySpec("PARD", {"lam": 1.0})
         assert a == b and a.fingerprint() == b.fingerprint()
 
+    def test_admission_bounds_rejected_at_construction(self):
+        # Each bound mirrors the range check in the policy's constructor,
+        # so a bad value fails when the spec is built, not inside a run.
+        cases = [
+            ("token-bucket", "rate", 0.0, "> 0"),
+            ("token-bucket", "burst", -1.0, "> 0"),
+            ("weighted-fair", "backlog", 0.0, "> 0"),
+            ("weighted-fair", "window", 0.0, "> 0"),
+            ("weighted-fair", "slack", 0.5, ">= 1"),
+        ]
+        for name, param, value, bound in cases:
+            with pytest.raises(ValueError) as err:
+                PolicySpec(name, {param: value})
+            assert str(err.value) == (
+                f"policy {name!r} param {param!r} must be {bound}, got {value!r}"
+            )
+        # Bounds are inclusive unless declared exclusive.
+        assert PolicySpec("weighted-fair", {"slack": 1}).params
+        assert PolicySpec("PARD", {"lam": 1.0, "samples": 1}).params
+
     def test_unregistered_name_stays_lazy(self):
         spec = PolicySpec("NotYetRegistered", {"k": 1})
         with pytest.raises(ValueError, match="unknown policy"):
@@ -121,6 +141,11 @@ class TestRegistryIntrospection:
         names = {p.name for p in policy_params("PARD")}
         assert {"lam", "sub_mode", "wait_mode", "priority_mode",
                 "budget_mode"} <= names
+
+    def test_describe_shows_bounds(self):
+        described = {p.name: p.describe() for p in policy_params("PARD-oc")}
+        assert described == {"threshold": "threshold=0.02 (float > 0)",
+                             "alpha": "alpha=0.4 (float in (0, 1))"}
 
     def test_admissions_registered(self):
         assert {"weighted-fair", "token-bucket"} <= set(known_admissions())

@@ -1,0 +1,136 @@
+"""Byte-exact PARD admission outcomes, pinned by digest.
+
+Each case runs an overloaded ``tm`` scenario with the full collector and
+hashes the ``repr`` of every record (visits included, floats by
+``repr``, rids rebased to the run's first rid) and of every HBF/LBF
+transition the priority controller logged.  Together they fix every
+drop decision, queueing delay, batch and mode flip of the admission path
+(queue, draw, decide), so a change to how a worker queues and draws its
+requests must leave every value below untouched.
+
+Each case also checks that it reached the path it exists for: a backlog
+of thousands with ``m1`` flipping to HBF and back, the same overload
+on a FIFO queue (arrival order drops stale requests sooner, so it holds
+hundreds), and a shared pool where two tenants' SLOs put most pushes
+out of deadline order.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from collections.abc import Iterable
+
+import pytest
+
+from repro.core.priority import DeadlineDepqQueue
+from repro.experiments.runner import run_multi_scenario, run_scenario
+from repro.experiments.scenario import MultiScenario, Scenario
+from repro.interfaces import FifoQueue
+from repro.metrics.collector import RequestRecord
+
+
+def constant(rate: float) -> dict:
+    return {"name": "constant", "duration": 4, "base_rate": rate}
+
+
+#: 2,500 req/s for 4 s on 2 workers: ``m1`` backs up by thousands.
+OVERLOAD = {"app": {"name": "tm"}, "policy": "PARD", "workers": 2,
+            "trace": constant(2500)}
+#: Two tenants on 4 workers per pool, one with ten times the other's SLO.
+TWO_SLOS = {"workers": 4, "tenants": [
+    {"scenario": {"name": "tight", "app": {"name": "tm"}, "policy": "PARD",
+                  "trace": constant(1250)}},
+    {"scenario": {"name": "loose", "app": {"name": "tm", "slo": 4.0},
+                  "policy": "PARD", "trace": constant(1250)}},
+]}
+
+
+def digest(records: Iterable[RequestRecord]) -> str:
+    records = list(records)
+    first = min(r.rid for r in records)
+    h = hashlib.sha256()
+    for r in records:
+        h.update(repr(r._replace(rid=r.rid - first)).encode())
+    return h.hexdigest()
+
+
+def sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.fixture
+def pushes(monkeypatch) -> list[tuple[int, bool]]:
+    """(queue length, out of order) for every DEPQ push.
+
+    A push is out of order when its deadline is earlier than that of a
+    request pushed to the same queue since the queue was last empty.
+    """
+    seen: list[tuple[int, bool]] = []
+    latest: dict[int, float] = {}  # id(queue) -> latest deadline pushed
+    push = DeadlineDepqQueue.push
+
+    def observed(self, request, now) -> None:
+        n, key = len(self), id(self)
+        seen.append((n, n > 0 and request.deadline < latest[key]))
+        latest[key] = max(request.deadline, latest[key]) if n else request.deadline
+        push(self, request, now)
+
+    monkeypatch.setattr(DeadlineDepqQueue, "push", observed)
+    return seen
+
+
+def _pinned(records, transitions, expected: tuple) -> None:
+    n_records, n_visits, records_sha, transitions_sha = expected
+    assert (len(records), sum(len(r.visits) for r in records)) == (
+        n_records, n_visits)
+    assert digest(records) == records_sha
+    assert sha(transitions) == transitions_sha
+
+
+def test_deep_backlog_with_mode_flips_pinned(pushes):
+    result = run_scenario(Scenario.from_dict(OVERLOAD))
+    transitions = result.cluster.policy.priority.transitions
+    assert [(t.time, t.mode) for t in transitions if t.module_id == "m1"] == [
+        (1.0, "hbf"), (9.0, "lbf")]
+    assert max(n for n, _ in pushes) > 3000
+    _pinned(result.collector.records, transitions, (
+        10000, 1912,
+        "fa0b4b46cfe917a7e8b61fee78eb331215c6e152938c93362816b09606dd5d57",
+        "44ffbc30d9cf7277c5d078b1adc6f8634ca1574576b63a54dff8d8ee69b0be86",
+    ))
+
+
+def test_fifo_backlog_pinned(monkeypatch, pushes):
+    lengths: list[int] = []
+    push = FifoQueue.push
+
+    def observed(self, request, now) -> None:
+        lengths.append(len(self))
+        push(self, request, now)
+
+    monkeypatch.setattr(FifoQueue, "push", observed)
+    result = run_scenario(
+        Scenario.from_dict({**OVERLOAD, "policy": "PARD-FCFS"}))
+    assert not pushes and max(lengths) > 250
+    _pinned(result.collector.records,
+            result.cluster.policy.priority.transitions, (
+        10000, 1220,
+        "627101086a8c6ebe12671fbccf7903651250a55cc5411d37a3333715bb6ae76e",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ))
+
+
+def test_two_slo_tenants_out_of_order_pinned(pushes):
+    result = run_multi_scenario(MultiScenario.from_dict(TWO_SLOS))
+    out_of_order = sum(b for _, b in pushes)
+    assert out_of_order > len(pushes) / 3  # 4,758 of 9,972 when pinned
+    tenants = result.cluster.tenants
+    _pinned(
+        [r for c in result.collectors.values() for r in c.records],
+        [tenants[name].policy.priority.transitions for name in sorted(tenants)],
+        (
+            10000, 5292,
+            "089857cc6849281c439fb1bb3da6bd45270cfeb43e1137751c3fd1ca234e7f25",
+            "d84b58f4c1eb9732767de73dbeab5dfcb0f7dbe8f6d3a32f3770992a08bcd9bf",
+        ),
+    )
