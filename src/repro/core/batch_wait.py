@@ -19,14 +19,55 @@ Two estimators are provided:
 * an empirical sampler that draws per-module waits from observed runtime
   samples when available, else uniform(0, d_i) — this is what the State
   Planner uses online (complexity O(M * (N - k + 1)), M = 10,000 default).
+
+The sampler reads its lambda-quantile with :func:`linear_quantile`, which
+is ``np.quantile(values, q)`` (the default ``"linear"`` method) without
+the call's set-up: it partitions the sample array in place at the order
+statistics numpy reads and repeats numpy's arithmetic, so the result is
+numpy's to the last bit (``tests/core/test_batch_wait.py`` checks this
+against ``np.quantile`` itself).  The latency percentiles of
+:mod:`repro.metrics.analysis` and the profiler's p95 use it too.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def linear_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` for a 1-d float64 array and ``q`` in [0, 1].
+
+    Reorders ``values`` in place.  Mirrors numpy's ``"linear"`` method
+    step by step: the virtual index ``v = (n - 1) * q``; its neighbours
+    ``floor(v)`` and ``floor(v) + 1``, both ``-1`` (the maximum) once ``v
+    >= n - 1``; one ``partition`` at numpy's own ``kth`` set ``{0, -1} |
+    {neighbours}``, so equal values (``0.0`` and ``-0.0``) land where
+    numpy's land; ``gamma = v - floor(v)``; the lerp ``a + (b - a) *
+    gamma``, or ``b - (b - a) * (1 - gamma)`` when ``gamma >= 0.5``; and
+    a NaN anywhere, which the partition sorts last, is the result.
+    """
+    n = len(values)
+    v = (n - 1) * float(q)
+    if v >= n - 1:
+        lo = hi = -1
+    else:
+        lo = math.floor(v)
+        hi = lo + 1
+    values.partition(sorted({0, -1, lo, hi}))
+    last = float(values[-1])
+    if math.isnan(last):
+        return last
+    a = float(values[lo])
+    b = float(values[hi])
+    gamma = v - lo
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
 
 
 def irwin_hall_cdf(x: float, n: int) -> float:
@@ -119,12 +160,13 @@ class BatchWaitEstimator:
     def estimate(
         self,
         durations: list[float],
-        observed: list[list[float]] | None = None,
+        observed: Sequence[Sequence[float] | None] | None = None,
     ) -> float:
         """w_k for downstream modules with profiled ``durations``.
 
         ``observed[i]`` optionally holds recent runtime batch-wait samples
-        of module i (same order as ``durations``).
+        of module i (same order as ``durations``), as a list or a float64
+        array; the draws and the result do not depend on which.
         """
         if not durations:
             return 0.0
@@ -135,9 +177,8 @@ class BatchWaitEstimator:
         total = np.zeros(self.samples)
         for i, d in enumerate(durations):
             obs = observed[i] if observed is not None else None
-            if obs and len(obs) >= self.min_observed:
-                draws = self._rng.choice(np.asarray(obs, dtype=float), self.samples)
+            if obs is not None and len(obs) and len(obs) >= self.min_observed:
+                total += self._rng.choice(obs, self.samples)
             else:
-                draws = self._rng.uniform(0.0, d, self.samples)
-            total += draws
-        return float(np.quantile(total, self.lam))
+                total += self._rng.uniform(0.0, d, self.samples)
+        return linear_quantile(total, self.lam)

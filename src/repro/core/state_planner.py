@@ -10,12 +10,19 @@ current module must leave for its successors:
 with w_k the lambda-quantile batch-wait estimate of §4.2.  For DAG
 pipelines the estimate is computed per downstream path and the maximum is
 used (§4.2 / §5.1).
+
+Each sync reads every module's batch-wait window once, as one float64
+array that every path through the module hands to the estimator as is.
+Only modules on some downstream path get one: an entry module's waits
+are never part of an estimate, so its window is only evicted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .batch_wait import BatchWaitEstimator
 
@@ -33,7 +40,6 @@ class ModuleState:
     duration: float  # d_i: profiled execution duration at that batch size
     input_rate: float  # T_in
     throughput: float  # T_m
-    observed_waits: tuple[float, ...]  # recent runtime batch-wait samples
 
 
 class WaitMode:
@@ -82,11 +88,22 @@ class StatePlanner:
         self._estimator = BatchWaitEstimator(lam=lam, samples=samples, seed=seed)
         self.cluster: "Cluster | None" = None
         self._states: dict[str, ModuleState] = {}
+        # Recent batch waits of each module on some downstream path, as of
+        # the last sync (empty when observed waits are off).
+        self._waits: dict[str, np.ndarray] = {}
+        self._path_modules: frozenset[str] = frozenset()
         self._sub_estimates: dict[str, float] = {}
         self._path_details: dict[str, list[dict[str, float]]] = {}
 
     def bind(self, cluster: "Cluster") -> None:
         self.cluster = cluster
+        spec = cluster.spec
+        self._path_modules = frozenset(
+            mid
+            for source in spec.module_ids
+            for path in spec.paths_from(source)
+            for mid in path
+        )
         self.refresh(0.0)
 
     # -- state synchronisation (steps 1-2 in Figure 4) -----------------------
@@ -96,11 +113,6 @@ class StatePlanner:
         assert self.cluster is not None, "planner not bound to a cluster"
         states: dict[str, ModuleState] = {}
         for mid, module in self.cluster.modules.items():
-            waits = (
-                tuple(module.stats.recent_batch_waits(now))
-                if self.use_observed_waits
-                else ()
-            )
             states[mid] = ModuleState(
                 module_id=mid,
                 avg_queue_delay=module.stats.avg_queue_delay(now),
@@ -108,13 +120,27 @@ class StatePlanner:
                 duration=module.effective_duration(now),
                 input_rate=module.stats.input_rate(now),
                 throughput=module.throughput(),
-                observed_waits=waits,
             )
         return states
+
+    def _observed_waits(self, now: float) -> dict[str, np.ndarray]:
+        """Each path module's batch-wait window at ``now``, as one array."""
+        assert self.cluster is not None, "planner not bound to a cluster"
+        waits: dict[str, np.ndarray] = {}
+        path_modules = self._path_modules
+        for mid, module in self.cluster.modules.items():
+            window = module.stats.batch_waits
+            if mid in path_modules:
+                waits[mid] = window.values_array(now)
+            else:
+                window.evict(now)  # never read; keeps its memory bounded
+        return waits
 
     def refresh(self, now: float) -> None:
         """Synchronise states and recompute every module's L_sub estimate."""
         assert self.cluster is not None, "planner not bound to a cluster"
+        if self.use_observed_waits:
+            self._waits = self._observed_waits(now)
         self._states = self.snapshot(now)
         spec = self.cluster.spec
         self._sub_estimates = {}
@@ -169,7 +195,7 @@ class StatePlanner:
         elif self.wait_mode == WaitMode.UPPER:
             w = sum_d
         else:
-            observed = [list(s.observed_waits) for s in states]
+            observed = [self._waits.get(mid) for mid in path]
             w = self._estimator.estimate(durations, observed)
         parts = {"queue": sum_q, "exec": sum_d, "wait": w}
         return sum_q + sum_d + w, parts

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..core.batch_wait import linear_quantile
 from ..simulation.request import RequestStatus
 from .collector import MetricsCollector, RequestRecord
 
@@ -368,8 +369,8 @@ def latency_percentiles(
     ]
     if not lats:
         return {}
-    arr = np.asarray(lats)
-    return {float(q): float(np.quantile(arr, q)) for q in qs}
+    arr = np.asarray(lats, dtype=float)
+    return {float(q): linear_quantile(arr.copy(), q) for q in qs}
 
 
 def slo_attainment_curve(

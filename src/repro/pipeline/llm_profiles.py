@@ -64,6 +64,13 @@ class TokenDist:
             self, ("mean", "low", "high", "sigma"), "token distribution "
         )
         if self.kind == "uniform":
+            for name in ("low", "high"):
+                value = getattr(self, name)
+                if value != int(value):
+                    raise ValueError(
+                        f"token distribution {name} must be an integer, "
+                        f"got {value!r}"
+                    )
             if self.low < 1 or self.high < self.low:
                 raise ValueError(
                     f"uniform token distribution needs 1 <= low <= high, "
@@ -71,8 +78,14 @@ class TokenDist:
                 )
         elif self.mean < 1:
             raise ValueError(f"token distribution mean must be >= 1, got {self.mean}")
-        if self.kind == "lognormal" and self.sigma <= 0:
-            raise ValueError(f"lognormal sigma must be > 0, got {self.sigma}")
+        if self.kind == "lognormal":
+            if self.sigma <= 0:
+                raise ValueError(f"lognormal sigma must be > 0, got {self.sigma}")
+            # The underlying normal's mu, chosen so the arithmetic mean is
+            # self.mean; derived, so not a field.
+            object.__setattr__(
+                self, "_mu", math.log(self.mean) - 0.5 * self.sigma * self.sigma
+            )
 
     def sample(self, rng: np.random.Generator) -> int:
         """One integer token count (always >= 1)."""
@@ -80,9 +93,7 @@ class TokenDist:
             return max(1, int(round(self.mean)))
         if self.kind == "uniform":
             return int(rng.integers(int(self.low), int(self.high) + 1))
-        # lognormal: pick mu so the arithmetic mean is self.mean.
-        mu = math.log(self.mean) - 0.5 * self.sigma * self.sigma
-        return max(1, int(round(float(rng.lognormal(mu, self.sigma)))))
+        return max(1, int(round(float(rng.lognormal(self._mu, self.sigma)))))
 
     def expectation(self) -> float:
         """Expected token count (used to derive affine-equivalent costs)."""

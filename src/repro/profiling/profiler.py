@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.batch_wait import linear_quantile
 from ..pipeline.profiles import ModelProfile
 
 
@@ -48,7 +49,7 @@ class ProfileMeasurement:
 
     @property
     def p95(self) -> float:
-        return float(np.quantile(self.samples, 0.95))
+        return linear_quantile(np.array(self.samples, dtype=float), 0.95)
 
 
 @dataclass

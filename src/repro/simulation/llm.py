@@ -54,7 +54,11 @@ decode iteration itself, on the same :class:`~repro.simulation.worker
 Both paths start an iteration through ``_start_iteration``, which reads
 the worker's degrade factor afresh each time (a straggler fault can
 begin or end between two iterations), so records, window samples and
-event order are those of going through ``_step`` every time.
+event order are those of going through ``_step`` every time.  A decode
+step copies nothing: ``_finish_step`` walks the batch's own request list
+while every sequence is in flight, and only a prefill's sequences pass
+through the first-token bookkeeping (every running sequence has been
+prefilled before a decode iteration starts).
 """
 
 from __future__ import annotations
@@ -72,7 +76,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class LLMWorker(Worker):
     """One GPU running continuous batching for a token-level module."""
 
-    __slots__ = ("kv_used", "_running", "_reserved", "_generated", "_need_prefill")
+    __slots__ = (
+        "kv_used", "_running", "_reserved", "_generated", "_need_prefill",
+        "_token_rng",
+    )
 
     def __init__(self, module: "Module", worker_id: int) -> None:
         if not isinstance(module.profile, LLMProfile):
@@ -86,6 +93,8 @@ class LLMWorker(Worker):
         self._reserved: dict[int, int] = {}  # rid -> reserved cache tokens
         self._generated: dict[int, int] = {}  # rid -> output tokens produced
         self._need_prefill: list[Request] = []  # admitted but not yet prefilled
+        # The module's named token-length stream, shared by its workers.
+        self._token_rng = module.cluster.rng.stream(f"llm:{module.spec.id}")
 
     # -- request flow -------------------------------------------------------
 
@@ -102,7 +111,7 @@ class LLMWorker(Worker):
         if visit.prompt_tokens:
             return
         profile = module.profile
-        rng = module.cluster.rng.stream(f"llm:{module.spec.id}")
+        rng = self._token_rng
         visit.prompt_tokens = profile.prompt_dist.sample(rng)
         visit.output_tokens = profile.output_dist.sample(rng)
 
@@ -315,22 +324,32 @@ class LLMWorker(Worker):
         module_id = module.spec.id
         in_flight = RequestStatus.IN_FLIGHT
         source = prefill_seqs if prefill_seqs is not None else batch.requests
-        producers = [r for r in source if r.status is in_flight]
+        producers = source
+        for r in source:
+            if r.status is not in_flight:
+                producers = [r for r in source if r.status is in_flight]
+                break
         retired: list[Request] = []
         if producers:
+            if prefill_seqs is not None:
+                # Only a prefill emits first tokens; a decode iteration's
+                # sequences all went through one already.
+                start, size = batch.start, batch.size
+                for request in producers:
+                    visit = request.visits[module_id]
+                    if visit.t_exec_start is None:
+                        visit.t_exec_start = start
+                        visit.batch_size = size
+                    if request.first_token_at is None:
+                        request.first_token_at = now
             share = (batch.end - batch.start) / len(producers)
             generated_by = self._generated
             for request in producers:
                 visit = request.visits[module_id]
-                if visit.t_exec_start is None:
-                    visit.t_exec_start = batch.start
-                    visit.batch_size = batch.size
                 visit.gpu_time += share
                 rid = request.rid
                 generated = generated_by.get(rid, 0) + 1
                 generated_by[rid] = generated
-                if request.first_token_at is None:
-                    request.first_token_at = now
                 request.last_token_at = now
                 request.tokens_out += 1
                 if generated >= visit.output_tokens:
@@ -342,7 +361,7 @@ class LLMWorker(Worker):
                     self.load -= 1
                     self.telemetry.executed_requests += 1
                     retired.append(request)
-        if prefill_seqs is None and not retired and len(producers) == len(source):
+        if prefill_seqs is None and not retired and producers is source:
             # A quiet decode iteration (see the module docstring): continue
             # in place when _step would only start the same decode again.
             running = self._running

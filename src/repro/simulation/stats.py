@@ -24,6 +24,11 @@ every O(len) mutations (amortized O(1)).
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
+
+import numpy as np
+
+_value = itemgetter(1)
 
 
 class WindowedSamples:
@@ -56,7 +61,8 @@ class WindowedSamples:
         self._sum_tv += t * value
         self._mutations += 1
 
-    def _evict(self, now: float) -> None:
+    def evict(self, now: float) -> None:
+        """Drop the samples older than the window at ``now``."""
         cutoff = now - self.window
         dq = self._samples
         if not dq or dq[0][0] >= cutoff:
@@ -90,7 +96,7 @@ class WindowedSamples:
 
     def weighted_average(self, now: float, default: float = 0.0) -> float:
         """Linearly weighted average of samples within the window (O(1))."""
-        self._evict(now)
+        self.evict(now)
         n = len(self._samples)
         if n == 0:
             return default
@@ -106,7 +112,7 @@ class WindowedSamples:
 
     def mean(self, now: float, default: float = 0.0) -> float:
         """Unweighted mean of samples within the window (O(1))."""
-        self._evict(now)
+        self.evict(now)
         n = len(self._samples)
         if n == 0:
             return default
@@ -114,8 +120,14 @@ class WindowedSamples:
 
     def values(self, now: float) -> list[float]:
         """Samples currently inside the window (oldest first)."""
-        self._evict(now)
+        self.evict(now)
         return [v for _, v in self._samples]
+
+    def values_array(self, now: float) -> np.ndarray:
+        """:meth:`values` as one float64 array."""
+        self.evict(now)
+        samples = self._samples
+        return np.fromiter(map(_value, samples), float, len(samples))
 
     def __len__(self) -> int:
         return len(self._samples)

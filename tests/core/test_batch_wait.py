@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch_wait import (
@@ -12,7 +15,42 @@ from repro.core.batch_wait import (
     aggregated_wait_quantile_uniform,
     irwin_hall_cdf,
     irwin_hall_quantile,
+    linear_quantile,
 )
+
+
+def same_float(got: float, want: float) -> bool:
+    """Bit-identical (so ``0.0`` is not ``-0.0``), or both NaN."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@st.composite
+def sample_arrays(draw) -> np.ndarray:
+    """1-20,000 float64 values: uniform, heavily tied (signed zeros among
+    the ties) or spread over 600 decades, with an optional NaN anywhere."""
+    n = draw(st.integers(min_value=1, max_value=20_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("uniform", "ties", "wide")))
+    if shape == "uniform":
+        values = rng.uniform(0.0, 1.0, n)
+    elif shape == "ties":
+        values = rng.choice(np.array([-0.0, 0.0, 0.25, 1.0, 3.0]), n)
+    else:
+        values = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-300, 301, n)
+    if draw(st.booleans()):
+        values[draw(st.integers(0, n - 1))] = np.nan
+    return values
+
+
+#: Any float64 at all, infinities and NaN included, in small arrays.
+small_arrays = st.lists(st.floats(width=64), min_size=1, max_size=40).map(
+    lambda xs: np.array(xs, dtype=float)
+)
+
+#: What the State Planner quantiles: a sum of 10,000 draws.
+PLANNER_SUM = np.random.default_rng(0).uniform(0.0, 0.2, 10_000)
 
 
 class TestIrwinHall:
@@ -100,6 +138,28 @@ class TestAggregatedQuantile:
         assert 0.0 <= q <= sum(ds) + 1e-9
 
 
+class TestLinearQuantile:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(sample_arrays(), small_arrays), st.floats(0.0, 1.0))
+    @example(PLANNER_SUM, 0.0)
+    @example(PLANNER_SUM, 0.1)
+    @example(PLANNER_SUM, 0.5)
+    @example(PLANNER_SUM, 1.0)
+    @example(np.array([0.0, -0.0, 0.0]), 0.5)
+    @example(np.array([-93.28288493890713, 71.48085531751387]), 0.5)  # lerp forms differ
+    @example(np.array([1.0, np.inf]), 0.0)
+    @example(np.array([np.inf]), 0.5)
+    @example(np.array([0.5, np.nan, 0.1]), 0.1)
+    def test_property_equals_numpy_bit_for_bit(self, values, lam):
+        """np.quantile is the reference; CI installs numpy unpinned, so
+        this also catches a numpy release that changes its lerp."""
+        with np.errstate(all="ignore"):
+            want = float(np.quantile(values, lam))
+            got = linear_quantile(values.copy(), lam)
+        assert type(got) is float
+        assert same_float(got, want), (got, want)
+
+
 class TestBatchWaitEstimator:
     def test_lambda_zero_is_lower_bound(self):
         est = BatchWaitEstimator(lam=0.0)
@@ -142,3 +202,19 @@ class TestBatchWaitEstimator:
     def test_invalid_lambda_rejected(self):
         with pytest.raises(ValueError):
             BatchWaitEstimator(lam=1.5)
+
+    def test_list_and_array_observations_draw_alike(self):
+        """The planner hands arrays, callers may hand lists: same float,
+        same generator state afterwards."""
+        waits = [0.01 * (i % 7) for i in range(40)]
+        durations = [0.05, 0.08, 0.03]
+        results, states = [], []
+        for observed in (
+            [waits, None, [0.02] * 5],
+            [np.array(waits), None, np.array([0.02] * 5)],
+        ):
+            est = BatchWaitEstimator(lam=0.1, samples=4_000, seed=9)
+            results.append(est.estimate(durations, observed))
+            states.append(est._rng.bit_generator.state)
+        assert same_float(results[0], results[1])
+        assert states[0] == states[1]

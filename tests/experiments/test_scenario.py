@@ -461,6 +461,20 @@ class TestValidation:
         ):
             scenario_from_dict(_profiled(_LLM_PROFILE, kv_capacity=100.5))
 
+    @pytest.mark.parametrize("key, value", [
+        ("prompt_dist.low", 1.5), ("prompt_dist.high", 15.5),
+        ("prompt_dist.low", 3.9),
+    ])
+    def test_fractional_uniform_token_bounds_rejected(self, key, value):
+        """Integer-uniform draws truncate the bounds: [1.5, 2.5] used to
+        pass and draw {1, 2}, below ``low``, against an expectation of 2.0."""
+        dist, name = key.split(".")
+        with pytest.raises(ValueError) as err:
+            scenario_from_dict(_profiled(_LLM_PROFILE, **{key: value}))
+        assert str(err.value) == (
+            f"profile 'gen': {dist}: token distribution {name} must be an "
+            f"integer, got {value!r}")
+
     def test_trace_scale_thinning_only(self):
         with pytest.raises(ValueError, match="scale"):
             TraceSpec(scale=2.0)

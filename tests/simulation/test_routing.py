@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.metrics.collector import MetricsCollector
@@ -84,6 +87,44 @@ class TestProbabilisticRouting:
         cluster.submit_at(0.0)
         with pytest.raises(ValueError, match="positive"):
             cluster.sim.run()
+
+    @pytest.mark.parametrize("weights, subs", [
+        (None, ("m2", "m3")),
+        ({"m2": 9.0, "m3": 1.0}, ("m2", "m3")),
+        ({"a": 2.5, "c": 0.5}, ("a", "b", "c")),  # b takes the default 1.0
+        ({"a": 3.0, "b": 0.0, "c": 7.0}, ("a", "b", "c")),
+        ({"a": 0.0}, ("a", "b")),
+    ])
+    def test_draws_are_generator_choice(self, weights, subs):
+        """Generator.choice(p=...) is the reference: same branch on every
+        fork, and the streams stay in step afterwards."""
+        router = ProbabilisticRouter(weights=weights, seed=11)
+        twin = np.random.default_rng(11)
+        w = np.array([(weights or {}).get(s, 1.0) for s in subs])
+        for _ in range(10_000):
+            want = subs[twin.choice(len(subs), p=w / w.sum())]
+            assert router.select(None, None, subs) == (want,)
+        assert router._rng.random() == twin.random()
+
+    @pytest.mark.parametrize("weights, draw, want", [
+        ({"m2": 0.0}, 0.0, "m3"),  # a zero-weight branch is never taken
+        (None, 0.5, "m3"),  # a draw on a CDF step takes the next branch
+    ])
+    def test_draw_on_a_cdf_step_searches_right(self, weights, draw, want):
+        """choice's right-sided searchsorted, which a random stream hits
+        only once in 2**53 draws."""
+        router = ProbabilisticRouter(weights=weights)
+        router._rng = SimpleNamespace(random=lambda: draw)
+        assert router.select(None, None, ("m2", "m3")) == (want,)
+
+    @pytest.mark.parametrize("weights, match", [
+        ({"m2": -1.0, "m3": 3.0}, "non-negative"),
+        ({"m2": float("nan"), "m3": 1.0}, "NaN"),
+    ])
+    def test_invalid_weights_raise(self, weights, match):
+        router = ProbabilisticRouter(weights=weights)
+        with pytest.raises(ValueError, match=match):
+            router.select(None, None, ("m2", "m3"))
 
 
 class TestResultDependentRouting:
