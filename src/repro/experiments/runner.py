@@ -31,7 +31,9 @@ from ..workload.generators import TRACES
 from ..workload.replay import drive
 from ..workload.source import ArrivalSource
 from ..workload.trace import Trace
-from .scenario import MultiScenario, Scenario, ScalingSpec, TraceSpec, _thaw
+from .scenario import (
+    MultiScenario, Scenario, ScalingSpec, TraceSpec, generator_kwargs,
+)
 
 
 @lru_cache(maxsize=256)
@@ -54,7 +56,7 @@ def _trace_shape_factor(
     consults the same pilot; without memoization every call re-simulated
     the full-duration pilot.
     """
-    kwargs = {k: _thaw(v) for k, v in args}
+    kwargs = generator_kwargs(args)
     pilot = generator(
         base_rate=50.0, duration=duration, seed=seed, name=trace, **kwargs
     )

@@ -23,22 +23,22 @@ Resolution happens through the three name-keyed registries:
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
-import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..metrics.goodput import GoodputSpec
 from ..pipeline.applications import APPLICATIONS, Application, get_application
-from ..pipeline.llm_profiles import profile_from_dict, profile_to_dict
-from ..pipeline.profiles import (
-    DEFAULT_PROFILES, ModelProfile, ProfileRegistry, check_finite,
-)
+from ..pipeline.llm_profiles import profile_class
+from ..pipeline.profiles import DEFAULT_PROFILES, ModelProfile, ProfileRegistry
 from ..pipeline.spec import ModuleSpec, PipelineSpec, chain
 from ..policies.spec import PolicySpec
+from ..schema import (
+    Axes, Bool, Either, Int, Json, Map, Nested, Num, Opt, Policy, Seq, Spec,
+    Str, field,
+)
 from ..simulation.failures import FailureEvent
 from ..simulation.resilience import HopResilience
 from ..simulation.routing import PathRouter, ProbabilisticRouter, StaticRouter
@@ -58,95 +58,24 @@ __all__ = [
     "SweepSpec",
     "TenantSpec",
     "TraceSpec",
+    "apply_axis",
+    "generator_kwargs",
     "load_scenario_file",
     "scenario_axes",
+    "scenario_class",
     "scenario_from_dict",
 ]
 
-
-def _freeze(value: Any) -> Any:
-    """Recursively convert dicts/lists to sorted tuples (hashable, stable)."""
-    if isinstance(value, dict):
-        return tuple(sorted((str(k), _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    return value
+#: Generator keyword arguments: scalars and nested lists, frozen to sorted
+#: pairs so the spec stays hashable and fingerprints stably.
+_TRACE_ARGS = Map(Json(), frozen=True, item="trace arg {key!r}")
+#: Worker counts (and tenant quotas): one count, or one per module/pool.
+_COUNTS = Opt(Either(Int(">= 1"), Map(Int(">= 1"))))
 
 
-def _thaw(value: Any) -> Any:
-    """Inverse of :func:`_freeze` for serialisation: tuples back to lists.
-
-    Not an inverse for *nested* dicts (a frozen dict is indistinguishable
-    from a list of pairs); :class:`TraceSpec` rejects those up front.
-    """
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    return value
-
-
-def _contains_mapping(value: Any) -> bool:
-    """True when a (possibly nested) value holds a dict anywhere."""
-    if isinstance(value, dict):
-        return True
-    if isinstance(value, (list, tuple)):
-        return any(_contains_mapping(v) for v in value)
-    return False
-
-
-def freeze_trace_args(args: Any) -> tuple:
-    """Validate and freeze generator kwargs into hashable sorted pairs.
-
-    :class:`TraceSpec` freezes its ``args`` through this.  Nested mappings are
-    rejected: freezing would mangle them into pair-lists that
-    :func:`_thaw` cannot tell apart from genuine nested lists.  Keys that
-    collide with the fixed :func:`~repro.workload.generators.get_trace`
-    keywords are rejected too — they would crash with a TypeError at
-    generation time.
-    """
-    raw = dict(args)
-    clashes = {"name", "base_rate", "duration", "seed"} & set(raw)
-    if clashes:
-        raise ValueError(
-            "trace args may not override reserved generator keywords: "
-            f"{sorted(clashes)}"
-        )
-    for key, value in raw.items():
-        if _contains_mapping(value):
-            raise ValueError(
-                f"trace arg {key!r} must not contain nested mappings; "
-                "use scalars and (nested) lists"
-            )
-    return _freeze(raw)
-
-
-def _canonical(value: Any) -> Any:
-    """Normalise numeric spelling for fingerprinting.
-
-    ``Scenario(duration=8)`` and its JSON round-trip (``8.0``) compare
-    equal, so they must hash equal too — otherwise a spec authored in
-    Python and the same spec re-loaded from a file would miss each
-    other's cache entries.  Bools are checked first (bool is an int
-    subclass); every other int becomes a float.
-    """
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return float(value)
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
-
-
-def _check_keys(data: dict, allowed: set[str], what: str) -> None:
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"{what} section must be a mapping, got {type(data).__name__}"
-        )
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+def generator_kwargs(args: tuple) -> dict:
+    """Frozen :class:`TraceSpec` ``args`` back as generator keywords."""
+    return _TRACE_ARGS.dump(args)
 
 
 def _check_provision_targets(
@@ -174,11 +103,6 @@ def _check_provision_targets(
             raise ValueError(
                 f"workers must cover every {noun}; missing: {sorted(missing)}"
             )
-        bad = sorted(k for k, v in workers.items() if v < 1)
-        if bad:
-            raise ValueError(f"workers must be >= 1; got less for: {bad}")
-    elif workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     for event in failures:
         if event.module_id not in ids:
             raise ValueError(
@@ -188,7 +112,7 @@ def _check_provision_targets(
 
 
 @dataclass(frozen=True)
-class BurstSpec:
+class BurstSpec(Spec):
     """Rate overlay: multiply arrivals by ``factor`` over one window.
 
     Applied via :meth:`repro.workload.source.ArrivalSource.overlay_burst`;
@@ -196,41 +120,16 @@ class BurstSpec:
     proactive dropping with, declared instead of hand-built.
     """
 
-    start: float
-    length: float
-    factor: float
-    seed: int = 0
+    _section, _prefix = "burst", "burst "
 
-    def __post_init__(self) -> None:
-        check_finite(self, ("start", "length", "factor"), "burst ")
-        if self.start < 0:
-            raise ValueError("burst start must be >= 0")
-        if self.length <= 0:
-            raise ValueError("burst length must be > 0")
-        if self.factor <= 0:
-            raise ValueError("burst factor must be > 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "length": self.length,
-            "factor": self.factor,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BurstSpec":
-        _check_keys(data, {"start", "length", "factor", "seed"}, "burst")
-        return cls(
-            start=float(data["start"]),
-            length=float(data["length"]),
-            factor=float(data["factor"]),
-            seed=int(data.get("seed", 0)),
-        )
+    start: float = field(Num(">= 0"))
+    length: float = field(Num("> 0"))
+    factor: float = field(Num("> 0"))
+    seed: int = field(Int(">= 0"), 0)
 
 
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(Spec):
     """A workload declared as a registered generator plus overlays.
 
     ``base_rate=None`` leaves the rate to the scenario's calibration
@@ -262,29 +161,27 @@ class TraceSpec:
     pre-existing generator spec is unchanged.
     """
 
-    name: str = "tweet"
-    duration: float = 120.0
-    base_rate: float | None = None
-    seed: int | None = None
-    args: tuple = ()
-    scale: float = 1.0
-    bursts: tuple[BurstSpec, ...] = ()
-    path: str | None = None
-    digest: str | None = None
-    stream: bool = False
+    _section, _prefix = "trace", "trace "
 
-    def __post_init__(self) -> None:
-        if not 0 < self.duration < math.inf:
+    name: str = field(Str(), "tweet")
+    duration: float = field(Num("> 0"), 120.0)
+    base_rate: float | None = field(Opt(Num("> 0")), None)
+    seed: int | None = field(Opt(Int(">= 0")), None)
+    args: tuple = field(_TRACE_ARGS, ())
+    scale: float = field(Num("(0, 1]"), 1.0)
+    bursts: tuple[BurstSpec, ...] = field(Seq(Nested(BurstSpec)), ())
+    path: str | None = field(Opt(Str()), None, emit="set")
+    digest: str | None = field(Opt(Str()), None, emit="set")
+    stream: bool = field(Bool(), False, emit="set")
+
+    def _check(self) -> None:
+        clashes = {"name", "base_rate", "duration", "seed"} & dict(self.args).keys()
+        if clashes:
+            # They would crash get_trace with a TypeError at generation time.
             raise ValueError(
-                f"trace duration must be finite and > 0, got {self.duration!r}"
+                "trace args may not override reserved generator keywords: "
+                f"{sorted(clashes)}"
             )
-        if self.base_rate is not None and not 0 < self.base_rate < math.inf:
-            raise ValueError(
-                "trace base_rate must be finite and > 0 (or null), got "
-                f"{self.base_rate!r}"
-            )
-        if not 0 < self.scale <= 1.0:
-            raise ValueError("trace scale must be in (0, 1] (thinning only)")
         if self.digest is not None and self.path is None:
             raise ValueError("trace digest requires a file-backed path")
         if self.path is not None:
@@ -298,7 +195,7 @@ class TraceSpec:
                     "file-backed traces take no base_rate: the file fixes "
                     "the arrivals"
                 )
-            if dict(self.args):
+            if self.args:
                 raise ValueError(
                     "file-backed traces take no generator args"
                 )
@@ -313,15 +210,6 @@ class TraceSpec:
             # at run time, not on every spec parse.
             probe = FileSource(self.path, name=self.name)
             object.__setattr__(self, "duration", probe.duration)
-        object.__setattr__(self, "args", freeze_trace_args(self.args))
-        object.__setattr__(
-            self,
-            "bursts",
-            tuple(
-                b if isinstance(b, BurstSpec) else BurstSpec.from_dict(b)
-                for b in self.bursts
-            ),
-        )
         for burst in self.bursts:
             if burst.start >= self.duration:
                 raise ValueError(
@@ -344,7 +232,7 @@ class TraceSpec:
             )
         else:
             seed = self.seed if self.seed is not None else default_seed
-            kwargs = {k: _thaw(v) for k, v in self.args}
+            kwargs = generator_kwargs(self.args)
             if self.stream:
                 source = stream_trace(
                     self.name, base_rate, self.duration, seed, **kwargs
@@ -376,91 +264,32 @@ class TraceSpec:
             self.build_source_base(base_rate, default_seed), default_seed
         )
 
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "duration": self.duration,
-            "base_rate": self.base_rate,
-            "seed": self.seed,
-            "args": {k: _thaw(v) for k, v in self.args},
-            "scale": self.scale,
-            "bursts": [b.to_dict() for b in self.bursts],
-        }
-        # Emitted only when set: every pre-existing generator spec keeps
-        # its serialized form — and therefore its cache fingerprint.
-        if self.path is not None:
-            out["path"] = self.path
-        if self.digest is not None:
-            out["digest"] = self.digest
-        if self.stream:
-            out["stream"] = True
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceSpec":
-        _check_keys(
-            data,
-            {
-                "name", "duration", "base_rate", "seed", "args", "scale",
-                "bursts", "path", "digest", "stream",
-            },
-            "trace",
-        )
-        return cls(
-            name=str(data.get("name", "tweet")),
-            duration=float(data.get("duration", 120.0)),
-            base_rate=(
-                None if data.get("base_rate") is None
-                else float(data["base_rate"])
-            ),
-            seed=None if data.get("seed") is None else int(data["seed"]),
-            args=dict(data.get("args", {})).items(),
-            scale=float(data.get("scale", 1.0)),
-            bursts=tuple(
-                BurstSpec.from_dict(b) for b in data.get("bursts", [])
-            ),
-            path=None if data.get("path") is None else str(data["path"]),
-            digest=(
-                None if data.get("digest") is None else str(data["digest"])
-            ),
-            stream=bool(data.get("stream", False)),
-        )
-
 
 @dataclass(frozen=True)
-class AppSpec:
+class AppSpec(Spec):
     """An application declared by registered name or as an inline pipeline.
 
     Inline pipelines give ``modules`` (ids, models, DAG edges) plus a
     required ``slo`` and any :class:`~repro.pipeline.profiles.ModelProfile`
     entries their models need beyond the defaults — the serializable form
     of a custom pipeline, so it pickles and fingerprints like the rest of
-    the scenario.
+    the scenario.  A dict may spell a linear pipeline as ``chain``, an
+    ordered model list (see :meth:`chained`).
     """
 
-    name: str | None = None
-    modules: tuple[ModuleSpec, ...] = ()
-    pipeline: str = "custom"
-    slo: float | None = None
-    profiles: tuple[ModelProfile, ...] = ()
+    _section, _prefix = "app", "app "
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "modules",
-            tuple(
-                m if isinstance(m, ModuleSpec) else self._module_from_dict(m)
-                for m in self.modules
-            ),
-        )
-        object.__setattr__(
-            self,
-            "profiles",
-            tuple(
-                p if isinstance(p, ModelProfile) else profile_from_dict(p)
-                for p in self.profiles
-            ),
-        )
+    name: str | None = field(Opt(Str()), None)
+    pipeline: str = field(Str(), "custom")
+    modules: tuple[ModuleSpec, ...] = field(Seq(Nested(ModuleSpec)), ())
+    slo: float | None = field(Opt(Num("> 0")), None)
+    #: Either profile flavour: plain fixed-duration or "llm" token-cost
+    #: (see repro.pipeline.llm_profiles).
+    profiles: tuple[ModelProfile, ...] = field(
+        Seq(Nested(ModelProfile, pick=profile_class)), ()
+    )
+
+    def _check(self) -> None:
         if (self.name is None) == (not self.modules):
             raise ValueError(
                 "an app spec needs exactly one of: a registered name, or "
@@ -468,19 +297,18 @@ class AppSpec:
             )
         if self.modules and self.slo is None:
             raise ValueError("an inline pipeline requires an explicit slo")
-        check_finite(self, ("slo",), "app ")
-        if self.slo is not None and self.slo <= 0:
-            raise ValueError("slo must be > 0")
 
-    @staticmethod
-    def _module_from_dict(data: dict) -> ModuleSpec:
-        _check_keys(data, {"id", "model", "pres", "subs"}, "module")
-        return ModuleSpec(
-            id=str(data["id"]),
-            model=str(data["model"]),
-            pres=tuple(str(p) for p in data.get("pres", ())),
-            subs=tuple(str(s) for s in data.get("subs", ())),
-        )
+    @classmethod
+    def _read(cls, data: Any) -> Any:
+        if not isinstance(data, Mapping) or "chain" not in data:
+            return data
+        if data.get("name") or data.get("modules"):
+            raise ValueError("'chain' is exclusive with 'name' and 'modules'")
+        data = dict(data)
+        models = Seq(Str()).load(data.pop("chain"), "app chain")
+        pipeline = data.get("pipeline", "custom")
+        data["modules"] = chain(pipeline, list(models)).modules
+        return data
 
     @classmethod
     def chained(
@@ -523,114 +351,34 @@ class AppSpec:
             merged[profile.name] = profile
         return ProfileRegistry(list(merged.values()))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pipeline": self.pipeline,
-            "modules": [
-                {
-                    "id": m.id, "model": m.model,
-                    "pres": list(m.pres), "subs": list(m.subs),
-                }
-                for m in self.modules
-            ],
-            "slo": self.slo,
-            # Either profile flavour: plain fixed-duration dicts or "llm"
-            # token-cost dicts (see repro.pipeline.llm_profiles).
-            "profiles": [profile_to_dict(p) for p in self.profiles],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AppSpec":
-        _check_keys(
-            data,
-            {"name", "pipeline", "modules", "chain", "slo", "profiles"},
-            "app",
-        )
-        profiles = tuple(
-            profile_from_dict(p) for p in data.get("profiles", [])
-        )
-        slo = None if data.get("slo") is None else float(data["slo"])
-        if "chain" in data:
-            if data.get("name") or data.get("modules"):
-                raise ValueError(
-                    "'chain' is exclusive with 'name' and 'modules'"
-                )
-            return cls.chained(
-                [str(m) for m in data["chain"]], slo=slo,
-                pipeline=str(data.get("pipeline", "custom")),
-                profiles=profiles,
-            )
-        return cls(
-            name=None if data.get("name") is None else str(data["name"]),
-            modules=tuple(data.get("modules", ())),
-            pipeline=str(data.get("pipeline", "custom")),
-            slo=slo,
-            profiles=profiles,
-        )
-
 
 @dataclass(frozen=True)
-class ScalingSpec:
+class ScalingSpec(Spec):
     """Reactive-scaler configuration (replaces the old bare bool knob)."""
 
-    enabled: bool = False
-    interval: float = 2.0
-    cold_start: float = 8.0
-    headroom: float = 1.1
-    min_workers: int = 1
-    max_workers: int = 16
-    scale_in_patience: int = 4
-    graceful_scale_in: bool = False
+    _section, _prefix = "scaling", "scaling "
 
-    def __post_init__(self) -> None:
-        check_finite(self, ("interval", "cold_start", "headroom"), "scaling ")
-        if self.interval <= 0:
-            # interval=0 would flood the event queue with same-timestamp
-            # ticks and hang the simulation.
-            raise ValueError("scaling interval must be > 0")
-        if self.cold_start < 0:
-            raise ValueError("scaling cold_start must be >= 0")
-        if self.headroom <= 0:
-            raise ValueError("scaling headroom must be > 0")
-        if self.min_workers < 1:
-            raise ValueError("scaling min_workers must be >= 1")
+    enabled: bool = field(Bool(), False)
+    # interval=0 would flood the event queue with same-timestamp ticks and
+    # hang the simulation.
+    interval: float = field(Num("> 0"), 2.0)
+    cold_start: float = field(Num(">= 0"), 8.0)
+    headroom: float = field(Num("> 0"), 1.1)
+    min_workers: int = field(Int(">= 1"), 1)
+    max_workers: int = field(Int(">= 1"), 16)
+    scale_in_patience: int = field(Int(">= 1"), 4)
+    graceful_scale_in: bool = field(Bool(), False)
+
+    def _check(self) -> None:
         if self.max_workers < self.min_workers:
-            raise ValueError("scaling max_workers must be >= min_workers")
-        if self.scale_in_patience < 1:
-            raise ValueError("scaling scale_in_patience must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScalingSpec":
-        allowed = {f.name for f in fields(cls)}
-        _check_keys(data, allowed, "scaling")
-        # Coerce like every sibling from_dict: JSON authors write `8`
-        # where Python holds 8.0, and an uncoerced int would change the
-        # fingerprint of an otherwise-equal scenario.
-        bool_keys = {"enabled", "graceful_scale_in"}
-        int_keys = {"min_workers", "max_workers", "scale_in_patience"}
-        kwargs: dict = {}
-        for key, value in data.items():
-            if key in bool_keys:
-                if not isinstance(value, bool):
-                    raise ValueError(f"scaling {key} must be true/false")
-                kwargs[key] = value
-            elif key in int_keys:
-                if int(value) != value:
-                    raise ValueError(
-                        f"scaling {key} must be an integer, got {value}"
-                    )
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
-        return cls(**kwargs)
+            raise ValueError(
+                f"scaling max_workers must be >= min_workers, got "
+                f"{self.max_workers} < {self.min_workers}"
+            )
 
 
 @dataclass(frozen=True)
-class RouterSpec:
+class RouterSpec(Spec):
     """Declarative fork routing for DAG pipelines.
 
     ``kind="static"`` keeps the default fan-out-to-all semantics;
@@ -644,180 +392,72 @@ class RouterSpec:
     generate_direct split) declared as data.
     """
 
-    kind: str = "static"
-    weights: tuple = ()  # frozen (module id, weight) pairs
-    seed: int | None = None
+    _section, _prefix = "router", "router "
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("static", "probabilistic"):
-            raise ValueError(
-                f"router kind must be 'static' or 'probabilistic', "
-                f"got {self.kind!r}"
-            )
-        raw = dict(self.weights)
-        if raw and self.kind == "static":
+    kind: str = field(Str(("static", "probabilistic")), "static")
+    weights: tuple = field(  # frozen (module id, weight) pairs
+        Map(Num("> 0"), frozen=True, item="router weight for {key!r}"), ()
+    )
+    seed: int | None = field(Opt(Int(">= 0")), None)
+
+    def _check(self) -> None:
+        if self.weights and self.kind == "static":
             raise ValueError("a static router takes no weights")
-        for key, value in raw.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(
-                    f"router weight for {key!r} must be finite, got {value!r}"
-                )
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise ValueError(
-                    f"router weight for {key!r} must be > 0, got {value}"
-                )
-        object.__setattr__(self, "weights", _freeze(raw))
 
     def build(self, default_seed: int = 0) -> PathRouter:
         """Resolve to a live :class:`~repro.simulation.routing.PathRouter`."""
         if self.kind == "static":
             return StaticRouter()
         seed = self.seed if self.seed is not None else default_seed
-        weights = {str(k): float(v) for k, v in self.weights}
-        return ProbabilisticRouter(weights or None, seed=seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "weights": {k: v for k, v in self.weights},
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RouterSpec":
-        _check_keys(data, {"kind", "weights", "seed"}, "router")
-        return cls(
-            kind=str(data.get("kind", "static")),
-            weights=tuple(dict(data.get("weights", {})).items()),
-            seed=None if data.get("seed") is None else int(data["seed"]),
-        )
+        return ProbabilisticRouter(dict(self.weights) or None, seed=seed)
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Spec):
     """One serializable spec from workload to failure injection.
 
     The unit of experiment declaration: runnable in-process via
     :func:`repro.experiments.runner.run_scenario`, shippable to sweep
     workers (it pickles), cacheable on disk (it fingerprints), and
-    storable as JSON next to the figures it produces.
+    storable as JSON next to the figures it produces.  Nested sections
+    also take their dict forms — ``Scenario(app={"name": "tm"})`` is the
+    natural Python transcription of the JSON shape — and a policy its bare
+    registered name.
     """
 
-    app: AppSpec = field(default_factory=lambda: AppSpec(name="lv"))
-    trace: TraceSpec = field(default_factory=TraceSpec)
-    policy: PolicySpec = field(default_factory=PolicySpec)
-    seed: int = 0
-    workers: int | dict[str, int] | None = None
-    utilization: float | None = None
-    provision_rate: float | None = None
-    provision_headroom: float = 1.0
-    sync_interval: float = 1.0
-    stats_window: float = 5.0
-    drain: float = 5.0
-    scaling: ScalingSpec = field(default_factory=ScalingSpec)
-    failures: tuple[FailureEvent, ...] = ()
-    name: str = ""
+    _section = "scenario"
+
+    app: AppSpec = field(Nested(AppSpec), AppSpec(name="lv"))
+    trace: TraceSpec = field(Nested(TraceSpec), TraceSpec())
+    policy: PolicySpec = field(Policy(PolicySpec), "PARD")
+    seed: int = field(Int(">= 0"), 0)
+    workers: int | dict[str, int] | None = field(_COUNTS, None)
+    utilization: float | None = field(Opt(Num("> 0")), None)
+    provision_rate: float | None = field(Opt(Num("> 0")), None)
+    provision_headroom: float = field(Num("> 0"), 1.0)
+    # A zero interval floods the event queue with same-timestamp ticks
+    # and the simulation never advances.
+    sync_interval: float = field(Num("> 0"), 1.0)
+    stats_window: float = field(Num("> 0"), 5.0)
+    drain: float = field(Num(">= 0"), 5.0)
+    scaling: ScalingSpec = field(Nested(ScalingSpec), ScalingSpec())
+    failures: tuple[FailureEvent, ...] = field(Seq(Nested(FailureEvent)), ())
+    name: str = field(Str(), "")
     #: Token-level SLO constraints (TTFT/TPOT/e2e); when any is declared
     #: the run also produces a :class:`~repro.metrics.goodput.GoodputReport`.
-    goodput: GoodputSpec | None = None
+    goodput: GoodputSpec | None = field(Opt(Nested(GoodputSpec)), None)
     #: Fork routing (None = static fan-out-to-all).
-    router: RouterSpec | None = None
-    #: Per-hop resilience policies, as (module_id, HopResilience) pairs
-    #: (dicts coerce).  Empty — the default — keeps every module on its
-    #: resilience-free fast path and the serialized form key-free, so all
-    #: pre-existing fingerprints are unchanged.
-    resilience: tuple = ()
+    router: RouterSpec | None = field(Opt(Nested(RouterSpec)), None)
+    #: Per-hop resilience policies, as sorted (module_id, HopResilience)
+    #: pairs (a module-keyed mapping of hop dicts coerces).  Empty — the
+    #: default — keeps every module on its resilience-free fast path and
+    #: the serialized form key-free, so all pre-existing fingerprints are
+    #: unchanged.
+    resilience: tuple = field(
+        Map(Nested(HopResilience), frozen=True), (), emit="set"
+    )
 
-    def __post_init__(self) -> None:
-        # Accept dict forms for the nested specs too, mirroring how
-        # failures/bursts/modules coerce — Scenario(app={"name": "tm"})
-        # is the natural Python transcription of the JSON shape.
-        if isinstance(self.app, dict):
-            object.__setattr__(self, "app", AppSpec.from_dict(self.app))
-        if isinstance(self.trace, dict):
-            object.__setattr__(self, "trace", TraceSpec.from_dict(self.trace))
-        if not isinstance(self.policy, PolicySpec):
-            # Bare names are the legacy spelling every pre-PolicySpec file
-            # (and test) uses; mappings are the parameterized form.
-            object.__setattr__(self, "policy", PolicySpec.coerce(self.policy))
-        if isinstance(self.scaling, dict):
-            object.__setattr__(
-                self, "scaling", ScalingSpec.from_dict(self.scaling)
-            )
-        if isinstance(self.goodput, dict):
-            object.__setattr__(
-                self, "goodput", GoodputSpec.from_dict(self.goodput)
-            )
-        if isinstance(self.router, dict):
-            object.__setattr__(
-                self, "router", RouterSpec.from_dict(self.router)
-            )
-        if isinstance(self.workers, dict):
-            for key, value in self.workers.items():
-                if int(value) != value:
-                    raise ValueError(
-                        f"workers[{key!r}] must be an integer, got {value}"
-                    )
-            object.__setattr__(
-                self,
-                "workers",
-                {str(k): int(v) for k, v in self.workers.items()},
-            )
-        elif self.workers is not None:
-            if int(self.workers) != self.workers:
-                raise ValueError(
-                    f"workers must be an integer, got {self.workers}"
-                )
-            object.__setattr__(self, "workers", int(self.workers))
-        check_finite(self, (
-            "utilization", "provision_rate", "provision_headroom",
-            "sync_interval", "stats_window", "drain",
-        ))
-        if self.sync_interval <= 0:
-            # A zero interval floods the event queue with same-timestamp
-            # ticks and the simulation never advances.
-            raise ValueError("sync_interval must be > 0")
-        if self.stats_window <= 0:
-            raise ValueError("stats_window must be > 0")
-        if self.drain < 0:
-            raise ValueError("drain must be >= 0")
-        if self.utilization is not None and self.utilization <= 0:
-            raise ValueError("utilization must be > 0 (or null)")
-        if self.provision_rate is not None and self.provision_rate <= 0:
-            raise ValueError("provision_rate must be > 0 (or null)")
-        if self.provision_headroom <= 0:
-            raise ValueError("provision_headroom must be > 0")
-        object.__setattr__(
-            self,
-            "failures",
-            tuple(
-                e if isinstance(e, FailureEvent) else FailureEvent.from_dict(e)
-                for e in self.failures
-            ),
-        )
-        pairs = (
-            self.resilience.items()
-            if isinstance(self.resilience, dict)
-            else self.resilience
-        )
-        object.__setattr__(
-            self,
-            "resilience",
-            tuple(sorted(
-                (
-                    (
-                        str(mid),
-                        hop if isinstance(hop, HopResilience)
-                        else HopResilience.from_dict(hop),
-                    )
-                    for mid, hop in pairs
-                ),
-                key=lambda pair: pair[0],
-            )),
-        )
-        seen_hops = [mid for mid, _ in self.resilience]
-        if len(set(seen_hops)) != len(seen_hops):
-            raise ValueError("duplicate module id in resilience spec")
+    def _check(self) -> None:
         # Fail fast on mistargeted failures/workers: a bad module id in a
         # hand-authored spec should raise here, not as a KeyError minutes
         # into a run.  Apps referencing a not-yet-registered name stay lazy
@@ -834,10 +474,6 @@ class Scenario:
             module_ids = self._known_module_ids()
             if module_ids is not None:
                 self._check_targets(module_ids)
-        if not isinstance(self.workers, dict) and (
-            self.workers is not None and self.workers < 1
-        ):
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def _known_module_ids(self) -> set[str] | None:
         """Module ids when resolvable without running (else ``None``).
@@ -976,124 +612,15 @@ class Scenario:
             base_rate, default_seed=self.seed
         ).materialize()
 
-    # -- serialisation -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = {
-            "app": self.app.to_dict(),
-            "trace": self.trace.to_dict(),
-            # Compact: a param-less policy stays the legacy bare string, so
-            # old files and old fingerprints survive the PolicySpec move.
-            "policy": self.policy.to_compact(),
-            "seed": self.seed,
-            "workers": (
-                dict(self.workers) if isinstance(self.workers, dict)
-                else self.workers
-            ),
-            "utilization": self.utilization,
-            "provision_rate": self.provision_rate,
-            "provision_headroom": self.provision_headroom,
-            "sync_interval": self.sync_interval,
-            "stats_window": self.stats_window,
-            "drain": self.drain,
-            "scaling": self.scaling.to_dict(),
-            "failures": [e.to_dict() for e in self.failures],
-            "name": self.name,
-            "goodput": None if self.goodput is None else self.goodput.to_dict(),
-            "router": None if self.router is None else self.router.to_dict(),
-        }
-        if self.resilience:
-            # Only-when-set (the TenantSpec.quota pattern): resilience-free
-            # scenarios keep their pre-existing fingerprints byte-identical.
-            out["resilience"] = {
-                mid: hop.to_dict() for mid, hop in self.resilience
-            }
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        _check_keys(
-            data,
-            {
-                "app", "trace", "policy", "seed", "workers", "utilization",
-                "provision_rate", "provision_headroom", "sync_interval",
-                "stats_window", "drain", "scaling", "failures", "name",
-                "goodput", "router", "resilience",
-            },
-            "scenario",
-        )
-        # Both workers forms are normalized/validated by __post_init__.
-        workers = data.get("workers")
-        return cls(
-            app=AppSpec.from_dict(data.get("app", {"name": "lv"})),
-            trace=TraceSpec.from_dict(data.get("trace", {})),
-            # A bare name (legacy) or a {"name", "params"} mapping; the
-            # constructor coerces either into a PolicySpec.
-            policy=PolicySpec.from_dict(data.get("policy", "PARD")),
-            seed=int(data.get("seed", 0)),
-            workers=workers,
-            utilization=(
-                None if data.get("utilization") is None
-                else float(data["utilization"])
-            ),
-            provision_rate=(
-                None if data.get("provision_rate") is None
-                else float(data["provision_rate"])
-            ),
-            provision_headroom=float(data.get("provision_headroom", 1.0)),
-            sync_interval=float(data.get("sync_interval", 1.0)),
-            stats_window=float(data.get("stats_window", 5.0)),
-            drain=float(data.get("drain", 5.0)),
-            scaling=ScalingSpec.from_dict(data.get("scaling", {})),
-            failures=tuple(
-                FailureEvent.from_dict(e) for e in data.get("failures", [])
-            ),
-            name=str(data.get("name", "")),
-            goodput=(
-                None if data.get("goodput") is None
-                else GoodputSpec.from_dict(data["goodput"])
-            ),
-            router=(
-                None if data.get("router") is None
-                else RouterSpec.from_dict(data["router"])
-            ),
-            resilience=data.get("resilience", ()),
-        )
-
     def resilience_map(self) -> dict[str, HopResilience] | None:
         """Runtime form for :class:`Cluster` (``None`` = fast path)."""
         if not self.resilience:
             return None
         return dict(self.resilience)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Scenario":
-        return cls.from_json(Path(path).read_text())
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    def fingerprint(self) -> str:
-        """Stable hex digest of the full spec (cache identity).
-
-        Canonical over numeric spelling: equal scenarios fingerprint
-        equally whether fields were authored as ints or floats, in Python
-        or in JSON.
-        """
-        blob = json.dumps(_canonical(self.to_dict()), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Spec):
     """One weighted tenant of a shared-cluster scenario.
 
     ``weight`` scales the tenant's trace rate, so a two-tenant spec with
@@ -1111,77 +638,30 @@ class TenantSpec:
     isolation knob interference studies sweep.
     """
 
-    scenario: Scenario
-    weight: float = 1.0
-    quota: int | dict[str, int] | None = None
+    _section, _prefix = "tenant", "tenant "
 
-    def __post_init__(self) -> None:
-        if isinstance(self.scenario, dict):
-            object.__setattr__(
-                self, "scenario", Scenario.from_dict(self.scenario)
+    # Keyword-only, so ``scenario`` stays the first positional argument
+    # while ``weight`` keeps its place first in the dict form.
+    weight: float = field(Num("> 0"), 1.0, kw_only=True)
+    scenario: Scenario = field(Nested(Scenario))
+    # Emitted only when set, so pre-quota specs keep their serialized form
+    # — and therefore their cache fingerprints.
+    quota: int | dict[str, int] | None = field(_COUNTS, None, emit="set")
+
+    def _check(self) -> None:
+        if self.quota == {}:
+            raise ValueError(
+                "a tenant quota mapping needs at least one pool entry"
             )
-        check_finite(self, ("weight",), "tenant ")
-        if self.weight <= 0:
-            raise ValueError("tenant weight must be > 0")
-        if isinstance(self.quota, dict):
-            cleaned = {}
-            for key, value in self.quota.items():
-                if int(value) != value:
-                    raise ValueError(
-                        f"tenant quota[{key!r}] must be an integer, "
-                        f"got {value}"
-                    )
-                if value < 1:
-                    raise ValueError(
-                        f"tenant quota[{key!r}] must be >= 1, got {value}"
-                    )
-                cleaned[str(key)] = int(value)
-            if not cleaned:
-                raise ValueError(
-                    "a tenant quota mapping needs at least one pool entry"
-                )
-            object.__setattr__(self, "quota", cleaned)
-        elif self.quota is not None:
-            if int(self.quota) != self.quota:
-                raise ValueError(
-                    f"tenant quota must be an integer, got {self.quota}"
-                )
-            if self.quota < 1:
-                raise ValueError(
-                    f"tenant quota must be >= 1, got {self.quota}"
-                )
-            object.__setattr__(self, "quota", int(self.quota))
 
     def label(self) -> str:
         """The tenant's identity inside the shared cluster."""
         s = self.scenario
         return s.name or s.app.name or s.app.pipeline
 
-    def to_dict(self) -> dict:
-        out = {"weight": self.weight, "scenario": self.scenario.to_dict()}
-        # Emitted only when set, so pre-quota specs keep their serialized
-        # form — and therefore their cache fingerprints.
-        if self.quota is not None:
-            out["quota"] = (
-                dict(self.quota) if isinstance(self.quota, dict)
-                else self.quota
-            )
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TenantSpec":
-        _check_keys(data, {"weight", "scenario", "quota"}, "tenant")
-        if "scenario" not in data:
-            raise ValueError("tenant entry missing required key 'scenario'")
-        return cls(
-            scenario=Scenario.from_dict(data["scenario"]),
-            weight=float(data.get("weight", 1.0)),
-            quota=data.get("quota"),
-        )
-
 
 @dataclass(frozen=True)
-class MultiScenario:
+class MultiScenario(Spec):
     """A shared cluster serving several weighted tenant scenarios.
 
     The multi-tenant unit of declaration: N tenants (each a full
@@ -1194,78 +674,27 @@ class MultiScenario:
     workers and fingerprints into the disk cache.
     """
 
-    tenants: tuple[TenantSpec, ...] = ()
-    workers: int | dict[str, int] | None = None  # keyed by pool id
-    scaling: ScalingSpec = field(default_factory=ScalingSpec)
-    failures: tuple[FailureEvent, ...] = ()  # module_id is a pool id
-    provision_headroom: float = 1.0
-    sync_interval: float = 1.0
-    stats_window: float = 5.0
-    drain: float = 5.0
-    seed: int = 0
-    name: str = ""
+    _section = "multi scenario"
+
+    tenants: tuple[TenantSpec, ...] = field(
+        Seq(Nested(TenantSpec), item="tenant"), ()
+    )
+    workers: int | dict[str, int] | None = field(_COUNTS, None)  # by pool id
+    scaling: ScalingSpec = field(Nested(ScalingSpec), ScalingSpec())
+    # module_id is a pool id
+    failures: tuple[FailureEvent, ...] = field(Seq(Nested(FailureEvent)), ())
+    provision_headroom: float = field(Num("> 0"), 1.0)
+    sync_interval: float = field(Num("> 0"), 1.0)
+    stats_window: float = field(Num("> 0"), 5.0)
+    drain: float = field(Num(">= 0"), 5.0)
+    seed: int = field(Int(">= 0"), 0)
+    name: str = field(Str(), "")
     #: Cross-app fairness policy on the admission seam (None = tenants'
     #: own policies only); resolved via the admission registry
     #: (:func:`repro.policies.registry.register_admission`).
-    admission: PolicySpec | None = None
+    admission: PolicySpec | None = field(Opt(Policy(PolicySpec)), None)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "tenants",
-            tuple(
-                t if isinstance(t, TenantSpec) else TenantSpec.from_dict(t)
-                for t in self.tenants
-            ),
-        )
-        if not self.tenants:
-            raise ValueError("a multi scenario needs at least one tenant")
-        if isinstance(self.workers, dict):
-            for key, value in self.workers.items():
-                if int(value) != value:
-                    raise ValueError(
-                        f"workers[{key!r}] must be an integer, got {value}"
-                    )
-            object.__setattr__(
-                self,
-                "workers",
-                {str(k): int(v) for k, v in self.workers.items()},
-            )
-        elif self.workers is not None:
-            if int(self.workers) != self.workers:
-                raise ValueError(
-                    f"workers must be an integer, got {self.workers}"
-                )
-            object.__setattr__(self, "workers", int(self.workers))
-        if isinstance(self.scaling, dict):
-            object.__setattr__(
-                self, "scaling", ScalingSpec.from_dict(self.scaling)
-            )
-        object.__setattr__(
-            self,
-            "failures",
-            tuple(
-                e if isinstance(e, FailureEvent) else FailureEvent.from_dict(e)
-                for e in self.failures
-            ),
-        )
-        check_finite(self, (
-            "provision_headroom", "sync_interval", "stats_window", "drain",
-        ))
-        if self.provision_headroom <= 0:
-            raise ValueError("provision_headroom must be > 0")
-        if self.sync_interval <= 0:
-            raise ValueError("sync_interval must be > 0")
-        if self.stats_window <= 0:
-            raise ValueError("stats_window must be > 0")
-        if self.drain < 0:
-            raise ValueError("drain must be >= 0")
-        if self.admission is not None and not isinstance(
-            self.admission, PolicySpec
-        ):
-            object.__setattr__(
-                self, "admission", PolicySpec.coerce(self.admission)
-            )
+    def _check(self) -> None:
         # Fail fast on structural mistakes (same contract as Scenario):
         # duplicate tenant labels, out-of-range failure times and —
         # whenever every tenant app resolves now — mistargeted pool
@@ -1290,8 +719,6 @@ class MultiScenario:
             pools = self._known_pools()
             if pools is not None:
                 self._check_pool_targets(pools)
-        elif self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def _check_labels(self) -> None:
         labels = [t.label() for t in self.tenants]
@@ -1425,80 +852,6 @@ class MultiScenario:
                 )
         return self
 
-    # -- serialisation -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "tenants": [t.to_dict() for t in self.tenants],
-            "workers": (
-                dict(self.workers) if isinstance(self.workers, dict)
-                else self.workers
-            ),
-            "scaling": self.scaling.to_dict(),
-            "failures": [e.to_dict() for e in self.failures],
-            "provision_headroom": self.provision_headroom,
-            "sync_interval": self.sync_interval,
-            "stats_window": self.stats_window,
-            "drain": self.drain,
-            "seed": self.seed,
-            "name": self.name,
-            "admission": (
-                None if self.admission is None else self.admission.to_compact()
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MultiScenario":
-        _check_keys(
-            data,
-            {
-                "tenants", "workers", "scaling", "failures",
-                "provision_headroom", "sync_interval", "stats_window",
-                "drain", "seed", "name", "admission",
-            },
-            "multi scenario",
-        )
-        return cls(
-            tenants=tuple(
-                TenantSpec.from_dict(t) for t in data.get("tenants", [])
-            ),
-            workers=data.get("workers"),
-            scaling=ScalingSpec.from_dict(data.get("scaling", {})),
-            failures=tuple(
-                FailureEvent.from_dict(e) for e in data.get("failures", [])
-            ),
-            provision_headroom=float(data.get("provision_headroom", 1.0)),
-            sync_interval=float(data.get("sync_interval", 1.0)),
-            stats_window=float(data.get("stats_window", 5.0)),
-            drain=float(data.get("drain", 5.0)),
-            seed=int(data.get("seed", 0)),
-            name=str(data.get("name", "")),
-            admission=(
-                None if data.get("admission") is None
-                else PolicySpec.from_dict(data["admission"])
-            ),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MultiScenario":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "MultiScenario":
-        return cls.from_json(Path(path).read_text())
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    def fingerprint(self) -> str:
-        """Stable hex digest of the full spec (cache identity)."""
-        blob = json.dumps(_canonical(self.to_dict()), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
 
 def scenario_from_dict(data: dict) -> "Scenario | MultiScenario | SweepSpec":
     """Parse any scenario-file schema, auto-detected.
@@ -1514,9 +867,18 @@ def scenario_from_dict(data: dict) -> "Scenario | MultiScenario | SweepSpec":
         )
     if "base" in data or "axes" in data:
         return SweepSpec.from_dict(data)
-    if "tenants" in data:
-        return MultiScenario.from_dict(data)
-    return Scenario.from_dict(data)
+    return scenario_class(data).from_dict(data)
+
+
+def scenario_class(data: Mapping) -> type:
+    """The class a scenario dict parses as: multi when it has tenants.
+
+    A sweep dict (a ``base`` or ``axes`` key) is refused, so a sweep or
+    study ``base`` cannot itself be a sweep.
+    """
+    if "base" in data or "axes" in data:
+        raise ValueError("sweep specs do not nest")
+    return MultiScenario if "tenants" in data else Scenario
 
 
 def load_scenario_file(path: str | Path) -> "Scenario | MultiScenario | SweepSpec":
@@ -1524,7 +886,7 @@ def load_scenario_file(path: str | Path) -> "Scenario | MultiScenario | SweepSpe
     return scenario_from_dict(json.loads(Path(path).read_text()))
 
 
-def _apply_axis(
+def apply_axis(
     spec: "Scenario | MultiScenario", axis: str, value: Any
 ) -> "Scenario | MultiScenario":
     """One cell of a sweep grid: ``spec`` with ``axis`` set to ``value``.
@@ -1543,7 +905,7 @@ def _apply_axis(
     if isinstance(spec, MultiScenario):
         if axis == "policy" or axis.startswith(("policy.", "trace.")):
             return replace(spec, tenants=tuple(
-                replace(t, scenario=_apply_axis(t.scenario, axis, value))
+                replace(t, scenario=apply_axis(t.scenario, axis, value))
                 for t in spec.tenants
             ))
         if axis.startswith("tenant."):
@@ -1564,12 +926,10 @@ def _apply_axis(
                     return t
                 if rest in ("weight", "quota"):
                     return replace(t, **{rest: value})
-                return replace(t, scenario=_apply_axis(t.scenario, rest, value))
+                return replace(t, scenario=apply_axis(t.scenario, rest, value))
             return replace(
                 spec, tenants=tuple(_bump(t) for t in spec.tenants)
             )
-        if axis == "admission":
-            return replace(spec, admission=PolicySpec.coerce(value))
         if axis.startswith("admission."):
             if spec.admission is None:
                 raise ValueError(
@@ -1583,8 +943,6 @@ def _apply_axis(
         if axis in {f.name for f in fields(spec)}:
             return replace(spec, **{axis: value})
         raise ValueError(f"unknown multi-scenario sweep axis {axis!r}")
-    if axis == "policy":
-        return replace(spec, policy=PolicySpec.coerce(value))
     if axis.startswith("policy."):
         param = axis.split(".", 1)[1]
         return replace(spec, policy=spec.policy.with_params(**{param: value}))
@@ -1615,7 +973,7 @@ def _apply_axis(
             node = nxt
         node[keys[-1]] = value
         hops[mid] = HopResilience.from_dict(data)  # re-validates keys/ranges
-        return replace(spec, resilience=tuple(sorted(hops.items())))
+        return replace(spec, resilience=hops)
     if rest:
         if head not in ("trace", "app", "scaling", "goodput"):
             raise ValueError(f"unknown sweep axis {axis!r}")
@@ -1652,12 +1010,12 @@ def scenario_axes(
         values = list(values)
         if not values:
             raise ValueError(f"sweep axis {axis!r} has no values")
-        out = [_apply_axis(spec, str(axis), v) for spec in out for v in values]
+        out = [apply_axis(spec, str(axis), v) for spec in out for v in values]
     return out
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+@dataclass(frozen=True, kw_only=True)
+class SweepSpec(Spec):
     """A declarative sweep: one base spec plus named axes, as one file.
 
     The serializable form of :func:`scenario_axes` — ``repro scenario
@@ -1667,36 +1025,20 @@ class SweepSpec:
         {"name": "fig11",
          "base": {"app": {"name": "tm"}, "policy": "PARD", ...},
          "axes": {"policy.lam": [0.05, 0.1, 0.3], "seed": [0, 1]}}
+
+    Axis values are checked when the grid expands (``validate``), by the
+    field each axis sets.
     """
 
-    base: "Scenario | MultiScenario"
-    axes: tuple = ()  # ((axis, (value, ...)), ...) in declaration order
-    name: str = ""
+    _section, _prefix = "sweep", "sweep "
 
-    def __post_init__(self) -> None:
-        if isinstance(self.base, dict):
-            object.__setattr__(self, "base", scenario_from_dict(self.base))
-        if isinstance(self.base, SweepSpec):
-            raise ValueError("sweep specs do not nest")
-        raw = (
-            self.axes.items() if isinstance(self.axes, Mapping) else self.axes
-        )
-        frozen: list[tuple[str, tuple]] = []
-        for axis, values in raw:
-            axis = str(axis)
-            values = list(values)
-            if not values:
-                raise ValueError(f"sweep axis {axis!r} has no values")
-            if axis in ("policy", "admission"):
-                values = [PolicySpec.coerce(v) for v in values]
-            else:
-                bad = [v for v in values if isinstance(v, (dict, list, tuple))]
-                if bad:
-                    raise ValueError(
-                        f"sweep axis {axis!r} values must be scalars"
-                    )
-            frozen.append((axis, tuple(values)))
-        object.__setattr__(self, "axes", tuple(frozen))
+    name: str = field(Str(), "")
+    base: "Scenario | MultiScenario" = field(Nested(
+        (Scenario, MultiScenario), pick=scenario_class,
+        what="a scenario or multi scenario (sweep specs do not nest)",
+    ))
+    # ((axis, (value, ...)), ...) in declaration order
+    axes: tuple = field(Axes(Policy(PolicySpec)), ())
 
     def expand(self) -> "list[Scenario | MultiScenario]":
         """The grid, in deterministic declaration order."""
@@ -1707,37 +1049,3 @@ class SweepSpec:
         for spec in self.expand():
             spec.validate()
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "axes": {
-                axis: [
-                    v.to_compact() if isinstance(v, PolicySpec) else v
-                    for v in values
-                ]
-                for axis, values in self.axes
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        _check_keys(data, {"base", "axes", "name"}, "sweep")
-        if "base" not in data:
-            raise ValueError("a sweep file requires a 'base' scenario")
-        axes = data.get("axes", {})
-        if not isinstance(axes, dict):
-            raise ValueError("sweep 'axes' must be a mapping of axis -> values")
-        return cls(
-            base=scenario_from_dict(data["base"]),
-            axes=tuple(axes.items()),
-            name=str(data.get("name", "")),
-        )
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SweepSpec":
-        return cls.from_dict(json.loads(Path(path).read_text()))

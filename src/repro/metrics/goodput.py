@@ -18,19 +18,16 @@ from those counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
-from ..pipeline.profiles import check_finite
+from ..schema import Num, Opt, Spec, field
 from ..simulation.request import RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .collector import MetricsCollector
 
-_SPEC_KEYS = ("ttft", "tpot", "e2e")
-
-
 @dataclass(frozen=True)
-class GoodputSpec:
+class GoodputSpec(Spec):
     """Per-metric latency constraints, all in seconds; ``None`` = unconstrained.
 
     * ``ttft`` — first token within this budget of ``sent_at``.
@@ -38,31 +35,16 @@ class GoodputSpec:
     * ``e2e``  — end-to-end completion latency.
     """
 
-    ttft: float | None = None
-    tpot: float | None = None
-    e2e: float | None = None
+    _section, _prefix = "goodput", "goodput constraint "
 
-    def __post_init__(self) -> None:
-        check_finite(self, _SPEC_KEYS, "goodput constraint ")
-        for name in _SPEC_KEYS:
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"goodput constraint {name} must be > 0, got {value}")
+    ttft: float | None = field(Opt(Num("> 0")), None)
+    tpot: float | None = field(Opt(Num("> 0")), None)
+    e2e: float | None = field(Opt(Num("> 0")), None)
 
     @property
     def declared(self) -> bool:
         """True when at least one constraint is set."""
         return self.ttft is not None or self.tpot is not None or self.e2e is not None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"ttft": self.ttft, "tpot": self.tpot, "e2e": self.e2e}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "GoodputSpec":
-        unknown = set(data) - set(_SPEC_KEYS)
-        if unknown:
-            raise ValueError(f"unknown GoodputSpec keys: {sorted(unknown)}")
-        return cls(**dict(data))
 
 
 def constraint_checks(spec: GoodputSpec, request) -> tuple[bool, bool, bool]:

@@ -18,7 +18,6 @@ from .llm_profiles import (
     is_llm_application,
     llm_chat,
     profile_from_dict,
-    profile_to_dict,
     rag_agentic,
 )
 from .profiles import DEFAULT_PROFILES, ModelProfile, ProfileRegistry
@@ -44,7 +43,6 @@ __all__ = [
     "llm_chat",
     "lv",
     "profile_from_dict",
-    "profile_to_dict",
     "rag_agentic",
     "register_application",
     "tm",

@@ -19,20 +19,21 @@ costs directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
+from ..schema import Bool, Int, Nested, Num, Spec, Str, field
 from .applications import Application, register_application
-from .profiles import DEFAULT_PROFILES, ModelProfile, check_finite
+from .profiles import DEFAULT_PROFILES, ModelProfile
 from .spec import ModuleSpec, PipelineSpec, chain
 
 _DIST_KINDS = ("constant", "uniform", "lognormal")
 
 
 @dataclass(frozen=True)
-class TokenDist:
+class TokenDist(Spec):
     """Seeded distribution of token counts (prompt or output lengths).
 
     ``kind`` selects the shape:
@@ -48,21 +49,15 @@ class TokenDist:
     sentinel on :class:`~repro.simulation.request.ModuleVisit`.
     """
 
-    kind: str = "constant"
-    mean: float = 128.0
-    low: float = 1.0
-    high: float = 1.0
-    sigma: float = 0.5
+    _section, _prefix = "token distribution", "token distribution "
 
-    def __post_init__(self) -> None:
-        if self.kind not in _DIST_KINDS:
-            raise ValueError(
-                f"unknown token distribution {self.kind!r}; "
-                f"expected one of {_DIST_KINDS}"
-            )
-        check_finite(
-            self, ("mean", "low", "high", "sigma"), "token distribution "
-        )
+    kind: str = field(Str(_DIST_KINDS), "constant")
+    mean: float = field(Num(), 128.0)
+    low: float = field(Num(), 1.0)
+    high: float = field(Num(), 1.0)
+    sigma: float = field(Num(), 0.5)
+
+    def _check(self) -> None:
         if self.kind == "uniform":
             for name in ("low", "high"):
                 value = getattr(self, name)
@@ -101,22 +96,6 @@ class TokenDist:
             return (self.low + self.high) / 2.0
         return self.mean
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "mean": self.mean,
-            "low": self.low,
-            "high": self.high,
-            "sigma": self.sigma,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TokenDist":
-        unknown = set(data) - {"kind", "mean", "low", "high", "sigma"}
-        if unknown:
-            raise ValueError(f"unknown TokenDist keys: {sorted(unknown)}")
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
 class LLMProfile(ModelProfile):
@@ -151,38 +130,24 @@ class LLMProfile(ModelProfile):
     :class:`ModelProfile`.
     """
 
-    base: float = 0.0  # derived in __post_init__ when left at 0
-    per_item: float = 0.0
-    prefill_base: float = 0.004
-    prefill_per_token: float = 0.00002
-    decode_base: float = 0.002
-    decode_per_token: float = 0.0001
-    kv_capacity: int = 8192
-    prompt_dist: TokenDist = field(default_factory=TokenDist)
-    output_dist: TokenDist = field(
-        default_factory=lambda: TokenDist(kind="constant", mean=64.0)
-    )
-    preempt: bool = False
+    _tag = ("kind", "llm")
 
-    def __post_init__(self) -> None:
-        what = f"profile {self.name!r}: "
-        check_finite(self, (
-            "prefill_base", "prefill_per_token", "decode_base",
-            "decode_per_token", "kv_capacity",
-        ), what)
-        if min(
-            self.prefill_base,
-            self.prefill_per_token,
-            self.decode_base,
-            self.decode_per_token,
-        ) <= 0:
-            raise ValueError(f"{what}prefill/decode costs must be > 0")
-        if self.kv_capacity != int(self.kv_capacity):
-            raise ValueError(
-                f"{what}kv_capacity must be an integer, got {self.kv_capacity!r}"
-            )
-        if self.kv_capacity < 1:
-            raise ValueError(f"{what}kv_capacity must be >= 1")
+    # Derived from the phase costs when left at 0, and kept out of the
+    # dict form.
+    base: float = field(Num(">= 0"), 0.0, key=None)
+    per_item: float = field(Num(">= 0"), 0.0, key=None)
+    prefill_base: float = field(Num("> 0"), 0.004)
+    prefill_per_token: float = field(Num("> 0"), 0.00002)
+    decode_base: float = field(Num("> 0"), 0.002)
+    decode_per_token: float = field(Num("> 0"), 0.0001)
+    kv_capacity: int = field(Int(">= 1"), 8192)
+    prompt_dist: TokenDist = field(Nested(TokenDist, wrap=True), TokenDist())
+    output_dist: TokenDist = field(
+        Nested(TokenDist, wrap=True), TokenDist(kind="constant", mean=64.0)
+    )
+    preempt: bool = field(Bool(), False)
+
+    def _check(self) -> None:
         e_prompt = self.prompt_dist.expectation()
         e_out = self.output_dist.expectation()
         # Affine equivalent of the expected per-request cost at batch size
@@ -199,7 +164,6 @@ class LLMProfile(ModelProfile):
                 "per_item",
                 self.prefill_per_token * e_prompt + e_out * self.decode_per_token,
             )
-        super().__post_init__()
 
     # -- token-phase costs --------------------------------------------------
 
@@ -216,73 +180,20 @@ class LLMProfile(ModelProfile):
         b = max(1, min(batch_size, self.max_batch))
         return self.prefill_duration(prompt_tokens) + output_tokens * self.decode_duration(b)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly dict (``base``/``per_item`` stay derived)."""
-        return {
-            "kind": "llm",
-            "name": self.name,
-            "max_batch": self.max_batch,
-            "prefill_base": self.prefill_base,
-            "prefill_per_token": self.prefill_per_token,
-            "decode_base": self.decode_base,
-            "decode_per_token": self.decode_per_token,
-            "kv_capacity": self.kv_capacity,
-            "prompt_dist": self.prompt_dist.to_dict(),
-            "output_dist": self.output_dist.to_dict(),
-            "preempt": self.preempt,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LLMProfile":
-        allowed = {
-            "kind", "name", "max_batch", "prefill_base", "prefill_per_token",
-            "decode_base", "decode_per_token", "kv_capacity", "prompt_dist",
-            "output_dist", "preempt",
-        }
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown LLMProfile keys: {sorted(unknown)}")
-        kwargs = {k: v for k, v in data.items() if k != "kind"}
-        for key in ("prompt_dist", "output_dist"):
-            if key in kwargs and isinstance(kwargs[key], Mapping):
-                try:
-                    kwargs[key] = TokenDist.from_dict(kwargs[key])
-                except ValueError as exc:
-                    raise ValueError(
-                        f"profile {data.get('name')!r}: {key}: {exc}"
-                    ) from None
-        return cls(**kwargs)
-
 
 def is_llm_profile_dict(data: Mapping[str, Any]) -> bool:
     """True when a serialized profile dict describes an :class:`LLMProfile`."""
     return data.get("kind") == "llm" or "prefill_base" in data
 
 
+def profile_class(data: Mapping[str, Any]) -> type[ModelProfile]:
+    """The profile flavour a serialized profile dict describes."""
+    return LLMProfile if is_llm_profile_dict(data) else ModelProfile
+
+
 def profile_from_dict(data: Mapping[str, Any]) -> ModelProfile:
     """Deserialize either profile flavour from its dict form."""
-    if is_llm_profile_dict(data):
-        return LLMProfile.from_dict(data)
-    return ModelProfile(
-        name=data["name"],
-        base=data["base"],
-        per_item=data["per_item"],
-        max_batch=data.get("max_batch", 32),
-    )
-
-
-def profile_to_dict(profile: ModelProfile) -> dict[str, Any]:
-    """Serialize either profile flavour to its dict form."""
-    if isinstance(profile, LLMProfile):
-        return profile.to_dict()
-    return {
-        "name": profile.name,
-        "base": profile.base,
-        "per_item": profile.per_item,
-        "max_batch": profile.max_batch,
-    }
+    return profile_class(data).from_dict(data)
 
 
 # Default token-level profiles, registered next to the vision models so

@@ -10,27 +10,13 @@ Clipper, Clockwork all profile this way).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Sequence
 
-
-def check_finite(spec: Any, names: Sequence[str], what: str = "") -> None:
-    """Reject NaN/inf in the named float fields (``None`` is allowed).
-
-    A non-finite knob either never lets the simulation end (an infinite
-    drain) or fails deep inside a run, so it is refused at construction
-    with the field named.  NaN also slips past every range check, since
-    each comparison with it is false.
-    """
-    for name in names:
-        value = getattr(spec, name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{what}{name} must be finite, got {value!r}")
+from ..schema import Int, Num, Spec, Str, field
 
 
 @dataclass(frozen=True)
-class ModelProfile:
+class ModelProfile(Spec):
     """Profiled batch-latency curve of one DNN model.
 
     Parameters
@@ -45,17 +31,15 @@ class ModelProfile:
         Largest batch size the model (GPU memory) supports.
     """
 
-    name: str
-    base: float
-    per_item: float
-    max_batch: int = 32
+    _section = "profile"
 
-    def __post_init__(self) -> None:
-        check_finite(self, ("base", "per_item"), f"profile {self.name!r}: ")
-        if self.base <= 0 or self.per_item <= 0:
-            raise ValueError(f"profile {self.name!r}: base/per_item must be > 0")
-        if self.max_batch < 1:
-            raise ValueError(f"profile {self.name!r}: max_batch must be >= 1")
+    name: str = field(Str())
+    base: float = field(Num("> 0"))
+    per_item: float = field(Num("> 0"))
+    max_batch: int = field(Int(">= 1"), 32)
+
+    def _where(self) -> str:
+        return f"profile {self.name!r}: "
 
     def duration(self, batch_size: int) -> float:
         """Profiled execution duration (seconds) for ``batch_size``."""

@@ -44,15 +44,19 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .. import schema
+
 
 @dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(schema.Spec):
     """One module (one DNN model) in the pipeline DAG."""
 
-    id: str
-    model: str
-    pres: tuple[str, ...] = ()
-    subs: tuple[str, ...] = ()
+    _section, _prefix = "module", "module "
+
+    id: str = schema.field(schema.Str())
+    model: str = schema.field(schema.Str())
+    pres: tuple[str, ...] = schema.field(schema.Seq(schema.Str()), ())
+    subs: tuple[str, ...] = schema.field(schema.Seq(schema.Str()), ())
 
 
 @dataclass(frozen=True, slots=True)

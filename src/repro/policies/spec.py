@@ -18,20 +18,22 @@ is built, not minutes into a sweep.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any
+
+from ..schema import (
+    Bool, Bound, Int, Map, Num, Opt, Policy, Raw, Scalar, Seq, Spec, Str,
+    digest, field,
+)
 
 __all__ = ["ParamSpec", "PolicySpec"]
 
-#: JSON-serializable scalar types a policy parameter may hold.
-_SCALARS = (bool, int, float, str)
+#: The declared ``type`` names and the kind that checks each.
+_KINDS = {"float": Num, "int": Int, "str": Str, "bool": Bool}
 
 
 @dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(Spec):
     """One declared, introspectable policy parameter.
 
     ``type`` is a type *name* ("float", "int", "str", "bool") rather than a
@@ -43,19 +45,27 @@ class ParamSpec:
     a numeric value must also be finite.
     """
 
-    name: str
-    type: str
-    default: Any
-    choices: tuple = ()
-    help: str = ""
-    low: float | None = None
-    high: float | None = None
-    exclusive: bool = False
+    _section, _prefix = "param", "param "
 
-    def __post_init__(self) -> None:
-        if self.type not in ("float", "int", "str", "bool"):
-            raise ValueError(f"unknown param type {self.type!r}")
-        object.__setattr__(self, "choices", tuple(self.choices))
+    name: str = field(Str(nonempty=True))
+    type: str = field(Str(tuple(_KINDS)))
+    default: Any = field(Raw())
+    choices: tuple = field(Seq(Raw()), ())
+    help: str = field(Str(), "")
+    low: float | None = field(Opt(Num()), None)
+    high: float | None = field(Opt(Num()), None)
+    exclusive: bool = field(Bool(), False)
+
+    def _check(self) -> None:
+        bound = None
+        if self.low is not None or self.high is not None:
+            bound = Bound(self.low, self.high, low_open=self.exclusive,
+                          high_open=self.exclusive)
+        kind = _KINDS[self.type]
+        kind = kind(choices=self.choices) if kind in (Bool, Str) else kind(
+            bound, choices=self.choices
+        )
+        object.__setattr__(self, "_kind", kind)
 
     def coerce(self, value: Any, where: str) -> Any:
         """Validate ``value`` against this declaration; returns it coerced.
@@ -64,50 +74,13 @@ class ParamSpec:
         Python holds ``8.0``) so equal specs fingerprint equally; genuine
         type mismatches raise with the offending policy/param named.
         """
-        if self.type == "bool":
-            if not isinstance(value, bool):
-                raise ValueError(f"{where} must be true/false, got {value!r}")
-            out: Any = value
-        elif self.type in ("int", "float"):
-            kind = "an integer" if self.type == "int" else "a number"
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{where} must be {kind}, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{where} must be finite, got {value!r}")
-            if self.type == "int" and int(value) != value:
-                raise ValueError(f"{where} must be an integer, got {value!r}")
-            out = int(value) if self.type == "int" else float(value)
-            if not self._in_bounds(out):
-                raise ValueError(f"{where} must be {self._bounds()}, got {value!r}")
-        else:
-            if not isinstance(value, str):
-                raise ValueError(f"{where} must be a string, got {value!r}")
-            out = value
-        if self.choices and out not in self.choices:
-            raise ValueError(
-                f"{where} must be one of {list(self.choices)}, got {value!r}"
-            )
-        return out
-
-    def _in_bounds(self, value: float) -> bool:
-        low, high = self.low, self.high
-        if self.exclusive:
-            return (low is None or value > low) and (high is None or value < high)
-        return (low is None or value >= low) and (high is None or value <= high)
+        return self._kind.load(value, where)
 
     def _bounds(self) -> str:
         """The declared range as text: ``in [0, 1]``, ``> 0``, ``>= 1``;
         empty when the parameter is unbounded."""
-        low, high = self.low, self.high
-        if low is not None and high is not None:
-            left, right = "()" if self.exclusive else "[]"
-            return f"in {left}{low:g}, {high:g}{right}"
-        strict = "" if self.exclusive else "="
-        if low is not None:
-            return f">{strict} {low:g}"
-        if high is not None:
-            return f"<{strict} {high:g}"
-        return ""
+        bound = getattr(self._kind, "bound", None)
+        return "" if bound is None else str(bound)
 
     def describe(self) -> str:
         """One cell of ``repro list --params`` output."""
@@ -119,7 +92,7 @@ class ParamSpec:
 
 
 @dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(Spec):
     """A registered policy name plus typed construction parameters.
 
     The first-class unit of policy configuration: scenarios carry one,
@@ -131,37 +104,25 @@ class PolicySpec:
     form in serialized scenarios (see :meth:`to_compact`).
     """
 
-    name: str = "PARD"
-    params: tuple = ()  # sorted ((key, value), ...) pairs
+    _section, _prefix = "policy", "policy "
 
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ValueError(f"policy name must be a non-empty string, "
-                             f"got {self.name!r}")
-        raw: Iterable
-        if isinstance(self.params, Mapping):
-            raw = self.params.items()
-        else:
-            raw = self.params
-        pairs = sorted((str(k), v) for k, v in raw)
-        keys = [k for k, _ in pairs]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"duplicate params for policy {self.name!r}")
-        for key, value in pairs:
-            if not isinstance(value, _SCALARS):
-                raise ValueError(
-                    f"policy param {key!r} must be a scalar "
-                    f"(bool/int/float/str), got {type(value).__name__}"
-                )
-        object.__setattr__(self, "params", tuple(pairs))
+    name: str = field(Str(nonempty=True), "PARD")
+    params: tuple = field(  # sorted ((key, value), ...) pairs
+        Map(Scalar(), frozen=True, item="policy param {key!r}"), ()
+    )
+
+    def _check(self) -> None:
         # Validate eagerly when the name is already registered (the normal
         # case); unregistered names stay lazy so registration order is
         # flexible, and validate() is the authoritative check.
         schema = self._schema()
         if schema is not None:
-            object.__setattr__(
-                self, "params", self._coerced(schema)
-            )
+            object.__setattr__(self, "params", self._coerced(schema))
+
+    @classmethod
+    def _read(cls, data: Any) -> Any:
+        # A bare name is the compact form (see to_compact).
+        return {"name": data} if isinstance(data, str) else data
 
     # -- validation ---------------------------------------------------------
 
@@ -236,25 +197,13 @@ class PolicySpec:
     # -- serialisation ------------------------------------------------------
 
     @classmethod
-    def coerce(cls, value: "PolicySpec | str | Mapping") -> "PolicySpec":
+    def coerce(cls, value: "PolicySpec | str | dict") -> "PolicySpec":
         """Accept every spelling a policy may arrive as.
 
         Bare strings are the legacy form every existing scenario file uses;
         mappings are the explicit form; specs pass through.
         """
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            return cls(name=value)
-        if isinstance(value, Mapping):
-            return cls.from_dict(dict(value))
-        raise ValueError(
-            f"policy must be a name, a mapping or a PolicySpec, "
-            f"got {type(value).__name__}"
-        )
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": self.param_dict()}
+        return Policy(cls).load(value, "policy")
 
     def to_compact(self) -> "str | dict":
         """The serialized form scenarios embed.
@@ -267,17 +216,6 @@ class PolicySpec:
             return self.name
         return self.to_dict()
 
-    @classmethod
-    def from_dict(cls, data: "dict | str") -> "PolicySpec":
-        if isinstance(data, str):
-            return cls(name=data)
-        unknown = set(data) - {"name", "params"}
-        if unknown:
-            raise ValueError(f"unknown policy keys: {sorted(unknown)}")
-        if "name" not in data:
-            raise ValueError("policy mapping requires a 'name'")
-        return cls(name=str(data["name"]), params=dict(data.get("params", {})))
-
     def fingerprint(self) -> str:
         """Stable hex digest of the configured point (cache identity).
 
@@ -285,18 +223,4 @@ class PolicySpec:
         registered (schema coercion then never ran): ``lam=1`` and
         ``lam=1.0`` must share one cache identity either way.
         """
-
-        def canonical(value):
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, int):
-                return float(value)
-            return value
-
-        compact = self.to_compact()
-        if isinstance(compact, dict):
-            compact = dict(compact, params={
-                k: canonical(v) for k, v in compact["params"].items()
-            })
-        blob = json.dumps(compact, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return digest(self.to_compact())

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..pipeline.profiles import check_finite
+from ..schema import Int, Num, Opt, Spec, Str
+from ..schema import field as declare
 from .cluster import Cluster
 from .request import RequestStatus
 
@@ -34,7 +35,7 @@ FAULT_KINDS = ("kill", "degrade", "link")
 
 
 @dataclass(frozen=True)
-class FailureEvent:
+class FailureEvent(Spec):
     """One injected fault (see the module docstring for the kinds).
 
     Serialization is kind-aware: a legacy worker kill emits exactly the
@@ -44,22 +45,19 @@ class FailureEvent:
     on top.
     """
 
-    time: float
-    module_id: str
-    workers: int = 1
-    downtime: float = 10.0
-    kind: str = "kill"
-    dst: str | None = None  # link faults: the edge module_id -> dst
-    factor: float = 2.0  # degrade faults: service-time multiplier
+    _section, _prefix = "failure-event", "failure "
 
-    def __post_init__(self) -> None:
-        check_finite(self, ("time", "downtime", "factor"), "failure ")
-        if self.time < 0:
-            raise ValueError("failure time must be >= 0")
-        if self.workers < 1:
-            raise ValueError("must fail at least one worker")
-        if self.downtime <= 0:
-            raise ValueError("downtime must be > 0")
+    time: float = declare(Num(">= 0"))
+    module_id: str = declare(Str())
+    workers: int = declare(Int(">= 1"), 1)
+    downtime: float = declare(Num("> 0"), 10.0)
+    kind: str = declare(Str(), "kill", emit="set")
+    # link faults: the edge module_id -> dst
+    dst: str | None = declare(Opt(Str()), None, emit="set")
+    # degrade faults: service-time multiplier
+    factor: float = declare(Num(), 2.0)
+
+    def _check(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; known: {FAULT_KINDS}"
@@ -70,45 +68,15 @@ class FailureEvent:
         elif self.dst is not None:
             raise ValueError(f"dst only applies to link faults, not {self.kind!r}")
         if self.kind == "degrade" and self.factor <= 1.0:
-            raise ValueError("degrade factor must be > 1.0")
-
-    def to_dict(self) -> dict:
-        """Plain-data form for scenario files (legacy-stable for kills)."""
-        out = {
-            "time": self.time,
-            "module_id": self.module_id,
-            "workers": self.workers,
-            "downtime": self.downtime,
-        }
-        if self.kind != "kill":
-            out["kind"] = self.kind
-        if self.dst is not None:
-            out["dst"] = self.dst
-        if self.kind == "degrade":
-            out["factor"] = self.factor
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FailureEvent":
-        unknown = set(data) - {
-            "time", "module_id", "workers", "downtime", "kind", "dst", "factor",
-        }
-        if unknown:
-            raise ValueError(f"unknown failure-event keys: {sorted(unknown)}")
-        missing = {"time", "module_id"} - set(data)
-        if missing:
             raise ValueError(
-                f"failure event missing required keys: {sorted(missing)}"
+                f"failure degrade factor must be > 1.0, got {self.factor!r}"
             )
-        return cls(
-            time=float(data["time"]),
-            module_id=str(data["module_id"]),
-            workers=int(data.get("workers", 1)),
-            downtime=float(data.get("downtime", 10.0)),
-            kind=str(data.get("kind", "kill")),
-            dst=None if data.get("dst") is None else str(data["dst"]),
-            factor=float(data.get("factor", 2.0)),
-        )
+
+    def _write(self, out: dict) -> dict:
+        # The factor belongs to degrade faults only.
+        if self.kind != "degrade":
+            del out["factor"]
+        return out
 
 
 @dataclass(frozen=True)

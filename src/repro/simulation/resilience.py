@@ -31,11 +31,11 @@ request already visited degrades to a drop.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
-from ..pipeline.profiles import check_finite
+from ..schema import Int, Num, Opt, Spec, Str, field
 from .request import DropReason, Request, RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,82 +59,59 @@ def descendants(spec, module_id: str) -> set[str]:
 
 
 @dataclass(frozen=True)
-class HopResilience:
-    """Declarative resilience configuration for one pipeline module."""
+class HopResilience(Spec):
+    """Declarative resilience configuration for one pipeline module.
 
-    timeout: float | None = None
-    on_timeout: str = "retry"
-    retry_max: int = 1
-    backoff_base: float = 0.05
-    backoff_jitter: float = 0.0
-    hedge: float | None = None
-    fallback: str | None = None
+    The dict form nests the retry knobs under one ``retry`` key, which
+    (like ``on_timeout``) is emitted only with a timeout.
+    """
 
-    def __post_init__(self) -> None:
+    _section, _prefix = "resilience", "resilience "
+
+    timeout: float | None = field(Opt(Num("> 0")), None)
+    on_timeout: str = field(Str(ON_TIMEOUT), "retry")
+    retry_max: int = field(Int(">= 0"), 1, key="retry.max")
+    backoff_base: float = field(Num("> 0"), 0.05, key="retry.base")
+    backoff_jitter: float = field(Num(">= 0"), 0.0, key="retry.jitter")
+    hedge: float | None = field(Opt(Num()), None, emit="set")
+    fallback: str | None = field(Opt(Str()), None, emit="set")
+
+    def _check(self) -> None:
         if self.timeout is None and self.hedge is None:
             raise ValueError(
                 "a resilience hop needs at least a timeout or a hedge delay"
             )
-        check_finite(self, ("timeout", "hedge"), "resilience ")
-        check_finite(
-            SimpleNamespace(base=self.backoff_base, jitter=self.backoff_jitter),
-            ("base", "jitter"), "resilience retry.",
-        )
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("resilience timeout must be > 0")
-        if self.on_timeout not in ON_TIMEOUT:
-            raise ValueError(
-                f"on_timeout must be one of {ON_TIMEOUT}, got {self.on_timeout!r}"
-            )
-        if self.retry_max < 0:
-            raise ValueError("retry.max must be >= 0")
-        if self.backoff_base <= 0:
-            raise ValueError("retry.base must be > 0")
-        if self.backoff_jitter < 0:
-            raise ValueError("retry.jitter must be >= 0")
         if self.hedge is not None and self.hedge <= 0:
-            raise ValueError("hedge delay must be > 0")
+            raise ValueError(
+                f"resilience hedge delay must be > 0, got {self.hedge!r}"
+            )
         if self.fallback is not None and self.timeout is None:
             raise ValueError("fallback requires a timeout")
 
-    def to_dict(self) -> dict:
-        out: dict = {}
-        if self.timeout is not None:
-            out["timeout"] = self.timeout
-            out["on_timeout"] = self.on_timeout
-            out["retry"] = {
-                "max": self.retry_max,
-                "base": self.backoff_base,
-                "jitter": self.backoff_jitter,
-            }
-        if self.hedge is not None:
-            out["hedge"] = self.hedge
-        if self.fallback is not None:
-            out["fallback"] = self.fallback
-        return out
-
     @classmethod
-    def from_dict(cls, data: dict) -> "HopResilience":
-        unknown = set(data) - {"timeout", "on_timeout", "retry", "hedge", "fallback"}
+    def _read(cls, data: Any) -> Any:
+        if not isinstance(data, Mapping) or "retry" not in data:
+            return data
+        data = dict(data)
+        retry = data.pop("retry")
+        if not isinstance(retry, Mapping):
+            raise ValueError(
+                f"resilience retry must be a mapping, got {retry!r}"
+            )
+        unknown = set(retry) - {"max", "base", "jitter"}
         if unknown:
-            raise ValueError(f"unknown resilience keys: {sorted(unknown)}")
-        retry = dict(data.get("retry", {}))
-        bad = set(retry) - {"max", "base", "jitter"}
-        if bad:
-            raise ValueError(f"unknown retry keys: {sorted(bad)}")
-        return cls(
-            timeout=(
-                None if data.get("timeout") is None else float(data["timeout"])
-            ),
-            on_timeout=str(data.get("on_timeout", "retry")),
-            retry_max=int(retry.get("max", 1)),
-            backoff_base=float(retry.get("base", 0.05)),
-            backoff_jitter=float(retry.get("jitter", 0.0)),
-            hedge=None if data.get("hedge") is None else float(data["hedge"]),
-            fallback=(
-                None if data.get("fallback") is None else str(data["fallback"])
-            ),
-        )
+            raise ValueError(f"unknown retry keys: {sorted(unknown)}")
+        data.update((f"retry.{k}", v) for k, v in retry.items())
+        return data
+
+    def _write(self, out: dict) -> dict:
+        retry = {k[len("retry."):]: out.pop(k)
+                 for k in ("retry.max", "retry.base", "retry.jitter")}
+        timeout, on_timeout = out.pop("timeout"), out.pop("on_timeout")
+        if timeout is None:
+            return out
+        return {"timeout": timeout, "on_timeout": on_timeout,
+                "retry": retry, **out}
 
 
 class ResilienceManager:

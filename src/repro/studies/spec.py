@@ -34,18 +34,18 @@ Two kinds:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 from ..experiments.scenario import (
     MultiScenario,
     Scenario,
-    _apply_axis,
-    _check_keys,
-    scenario_from_dict,
+    apply_axis,
+    scenario_class,
 )
 from ..policies.spec import PolicySpec
+from ..schema import Axes, Int, Nested, Num, Pair, Policy, Seq, Spec, Str, field
 from ..simulation.failures import FAULT_KINDS, FailureEvent
 from ..simulation.rng import RngStreams
 
@@ -57,53 +57,12 @@ __all__ = [
     "study_from_dict",
 ]
 
-
-def _freeze_axes(raw) -> tuple:
-    """Normalize an axes mapping into ``((axis, (values, ...)), ...)``.
-
-    The same discipline as :class:`~repro.experiments.scenario.SweepSpec`:
-    non-empty value lists, scalars only — except the policy-valued axes,
-    whose values coerce to :class:`~repro.policies.spec.PolicySpec`.
-    """
-    items = raw.items() if isinstance(raw, dict) else raw
-    frozen: list[tuple[str, tuple]] = []
-    for axis, values in items:
-        axis = str(axis)
-        values = list(values)
-        if not values:
-            raise ValueError(f"study axis {axis!r} has no values")
-        if axis in ("policy", "admission"):
-            values = [PolicySpec.coerce(v) for v in values]
-        else:
-            bad = [v for v in values if isinstance(v, (dict, list, tuple))]
-            if bad:
-                raise ValueError(f"study axis {axis!r} values must be scalars")
-        frozen.append((axis, tuple(values)))
-    return tuple(frozen)
+#: The configuration axes a study crosses with its own grid dimension.
+_AXES = Axes(Policy(PolicySpec))
 
 
-def _thaw_axes(axes: tuple) -> dict:
-    return {
-        axis: [
-            v.to_compact() if isinstance(v, PolicySpec) else v
-            for v in values
-        ]
-        for axis, values in axes
-    }
-
-
-def _positive_floats(values, what: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if not out:
-        raise ValueError(f"a study needs at least one {what}")
-    bad = [v for v in out if v <= 0]
-    if bad:
-        raise ValueError(f"{what} values must be > 0, got {bad}")
-    return out
-
-
-@dataclass(frozen=True)
-class InterferenceStudy:
+@dataclass(frozen=True, kw_only=True)
+class InterferenceStudy(Spec):
     """Victim goodput vs aggressor load on one shared cluster.
 
     The grid is ``axes`` (declaration order, extra configuration knobs)
@@ -115,28 +74,22 @@ class InterferenceStudy:
     """
 
     kind = "interference"
+    _section, _prefix = "interference study", "interference "
+    _tag = ("study", kind)
 
-    base: MultiScenario
-    victim: str
-    aggressor: str
-    loads: tuple[float, ...] = ()
-    axes: tuple = ()
-    name: str = ""
+    name: str = field(Str(), "")
+    victim: str = field(Str())
+    aggressor: str = field(Str())
+    loads: tuple[float, ...] = field(
+        Seq(Num("> 0"), item="aggressor load"), ()
+    )
+    axes: tuple = field(_AXES, ())
+    base: MultiScenario = field(Nested(
+        MultiScenario,
+        what="a multi-tenant base scenario (a 'tenants' spec)",
+    ))
 
-    def __post_init__(self) -> None:
-        if isinstance(self.base, dict):
-            object.__setattr__(
-                self, "base", MultiScenario.from_dict(self.base)
-            )
-        if not isinstance(self.base, MultiScenario):
-            raise ValueError(
-                "an interference study needs a multi-tenant base scenario "
-                "(a 'tenants' spec)"
-            )
-        object.__setattr__(
-            self, "loads", _positive_floats(self.loads, "aggressor load")
-        )
-        object.__setattr__(self, "axes", _freeze_axes(self.axes))
+    def _check(self) -> None:
         labels = self.base.tenant_names()
         for role, label in (("victim", self.victim),
                             ("aggressor", self.aggressor)):
@@ -160,7 +113,7 @@ class InterferenceStudy:
                              (load_axis, self.loads)):
             column = "aggressor_rate" if axis == load_axis else axis
             points = [
-                ({**vals, column: v}, _apply_axis(spec, axis, v))
+                ({**vals, column: v}, apply_axis(spec, axis, v))
                 for vals, spec in points
                 for v in values
             ]
@@ -172,41 +125,9 @@ class InterferenceStudy:
             spec.validate()
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "study": self.kind,
-            "name": self.name,
-            "victim": self.victim,
-            "aggressor": self.aggressor,
-            "loads": list(self.loads),
-            "axes": _thaw_axes(self.axes),
-            "base": self.base.to_dict(),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "InterferenceStudy":
-        _check_keys(
-            data,
-            {"study", "name", "victim", "aggressor", "loads", "axes", "base"},
-            "interference study",
-        )
-        for key in ("victim", "aggressor", "base"):
-            if key not in data:
-                raise ValueError(
-                    f"interference study missing required key {key!r}"
-                )
-        return cls(
-            base=MultiScenario.from_dict(data["base"]),
-            victim=str(data["victim"]),
-            aggressor=str(data["aggressor"]),
-            loads=tuple(data.get("loads", ())),
-            axes=tuple(dict(data.get("axes", {})).items()),
-            name=str(data.get("name", "")),
-        )
-
-
-@dataclass(frozen=True)
-class CapacityStudy:
+@dataclass(frozen=True, kw_only=True)
+class CapacityStudy(Spec):
     """How many workers hold the goodput target at each offered rate?
 
     For every rate in ``rates`` the planner sets each tenant's (or the
@@ -219,32 +140,25 @@ class CapacityStudy:
     """
 
     kind = "capacity"
+    _section, _prefix = "capacity study", "capacity "
+    _tag = ("study", kind)
 
-    base: "Scenario | MultiScenario"
-    rates: tuple[float, ...] = ()
-    target: float = 0.95
-    min_workers: int = 1
-    max_workers: int = 16
-    name: str = ""
+    name: str = field(Str(), "")
+    rates: tuple[float, ...] = field(Seq(Num("> 0"), item="offered rate"), ())
+    target: float = field(Num("(0, 1]"), 0.95)
+    min_workers: int = field(Int(">= 1"), 1)
+    max_workers: int = field(Int(">= 1"), 16)
+    base: "Scenario | MultiScenario" = field(Nested(
+        (Scenario, MultiScenario), pick=scenario_class,
+        what="a scenario or multi-scenario base",
+    ))
 
-    def __post_init__(self) -> None:
-        if isinstance(self.base, dict):
-            object.__setattr__(
-                self, "base", scenario_from_dict(self.base)
-            )
-        if not isinstance(self.base, (Scenario, MultiScenario)):
-            raise ValueError(
-                "a capacity study needs a scenario or multi-scenario base"
-            )
-        object.__setattr__(
-            self, "rates", _positive_floats(self.rates, "offered rate")
-        )
-        if not 0 < self.target <= 1:
-            raise ValueError(f"target must be in (0, 1], got {self.target}")
-        if self.min_workers < 1:
-            raise ValueError("min_workers must be >= 1")
+    def _check(self) -> None:
         if self.max_workers < self.min_workers:
-            raise ValueError("max_workers must be >= min_workers")
+            raise ValueError(
+                f"capacity max_workers must be >= min_workers, got "
+                f"{self.max_workers} < {self.min_workers}"
+            )
         scenarios = (
             [t.scenario for t in self.base.tenants]
             if isinstance(self.base, MultiScenario) else [self.base]
@@ -265,10 +179,8 @@ class CapacityStudy:
         self, rate: float, workers: int
     ) -> "Scenario | MultiScenario":
         """One probe: the base at ``rate`` req/s with uniform ``workers``."""
-        from dataclasses import replace
-
-        spec = _apply_axis(self.base, "trace.base_rate", rate)
-        return replace(spec, workers=int(workers))
+        spec = apply_axis(self.base, "trace.base_rate", rate)
+        return replace(spec, workers=workers)
 
     def validate(self) -> "CapacityStudy":
         """Resolve references on one representative probe per rate."""
@@ -276,39 +188,9 @@ class CapacityStudy:
             self.spec_at(rate, self.min_workers).validate()
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "study": self.kind,
-            "name": self.name,
-            "rates": list(self.rates),
-            "target": self.target,
-            "min_workers": self.min_workers,
-            "max_workers": self.max_workers,
-            "base": self.base.to_dict(),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CapacityStudy":
-        _check_keys(
-            data,
-            {"study", "name", "rates", "target", "min_workers",
-             "max_workers", "base"},
-            "capacity study",
-        )
-        if "base" not in data:
-            raise ValueError("capacity study missing required key 'base'")
-        return cls(
-            base=scenario_from_dict(data["base"]),
-            rates=tuple(data.get("rates", ())),
-            target=float(data.get("target", 0.95)),
-            min_workers=int(data.get("min_workers", 1)),
-            max_workers=int(data.get("max_workers", 16)),
-            name=str(data.get("name", "")),
-        )
-
-
-@dataclass(frozen=True)
-class ChaosStudy:
+@dataclass(frozen=True, kw_only=True)
+class ChaosStudy(Spec):
     """Availability under seeded random fault schedules x resilience axes.
 
     Each cell replaces the base scenario's ``failures`` with a schedule
@@ -331,61 +213,28 @@ class ChaosStudy:
     """
 
     kind = "chaos"
+    _section, _prefix = "chaos study", "chaos "
+    _tag = ("study", kind)
 
-    base: Scenario
-    seeds: tuple[int, ...] = (0,)
-    faults: int = 2
-    kinds: tuple[str, ...] = FAULT_KINDS
-    start: tuple[float, float] = (0.2, 0.6)
-    downtime: tuple[float, float] = (1.0, 5.0)
-    factor: tuple[float, float] = (1.5, 3.0)
-    window: float = 1.0
-    target: float = 0.9
-    axes: tuple = ()
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if isinstance(self.base, dict):
-            object.__setattr__(self, "base", Scenario.from_dict(self.base))
-        if not isinstance(self.base, Scenario):
-            raise ValueError(
-                "a chaos study needs a single-cluster scenario base "
-                "(link faults have no shared-cluster form)"
-            )
-        seeds = tuple(int(s) for s in self.seeds)
-        if not seeds:
-            raise ValueError("a chaos study needs at least one fault seed")
-        object.__setattr__(self, "seeds", seeds)
-        if self.faults < 1:
-            raise ValueError("faults must be >= 1")
-        kinds = tuple(str(k) for k in self.kinds)
-        bad = sorted(set(kinds) - set(FAULT_KINDS))
-        if not kinds or bad:
-            raise ValueError(
-                f"kinds must be a non-empty subset of {FAULT_KINDS}, "
-                f"got {list(self.kinds)}"
-            )
-        object.__setattr__(self, "kinds", kinds)
-        for attr in ("start", "downtime", "factor"):
-            pair = tuple(float(v) for v in getattr(self, attr))
-            if len(pair) != 2 or pair[0] > pair[1]:
-                raise ValueError(
-                    f"{attr} must be a (lo, hi) pair with lo <= hi"
-                )
-            object.__setattr__(self, attr, pair)
-        if not (0.0 <= self.start[0] and self.start[1] < 1.0):
-            raise ValueError(
-                "start must lie in [0, 1): fractions of the trace duration"
-            )
-        if self.downtime[0] <= 0:
-            raise ValueError("downtime values must be > 0")
-        if self.factor[0] <= 1.0:
-            raise ValueError("factor values must be > 1 (a slowdown)")
-        if self.window <= 0:
-            raise ValueError("window must be > 0")
-        if not 0 < self.target <= 1:
-            raise ValueError(f"target must be in (0, 1], got {self.target}")
-        object.__setattr__(self, "axes", _freeze_axes(self.axes))
+    name: str = field(Str(), "")
+    seeds: tuple[int, ...] = field(Seq(Int(">= 0"), item="fault seed"), (0,))
+    faults: int = field(Int(">= 1"), 2)
+    kinds: tuple[str, ...] = field(
+        Seq(Str(FAULT_KINDS), item="fault kind"), FAULT_KINDS
+    )
+    # Injection times, as fractions of the trace duration.
+    start: tuple[float, float] = field(Pair("[0, 1)"), (0.2, 0.6))
+    downtime: tuple[float, float] = field(Pair("> 0"), (1.0, 5.0))
+    # Degrade slowdowns.
+    factor: tuple[float, float] = field(Pair("> 1"), (1.5, 3.0))
+    window: float = field(Num("> 0"), 1.0)
+    target: float = field(Num("(0, 1]"), 0.9)
+    axes: tuple = field(_AXES, ())
+    base: Scenario = field(Nested(
+        Scenario,
+        what="a single-cluster scenario base (link faults have no "
+             "shared-cluster form)",
+    ))
 
     def schedule(self, seed: int) -> tuple[FailureEvent, ...]:
         """The fault schedule for one seed — pure and platform-stable."""
@@ -429,12 +278,10 @@ class ChaosStudy:
 
     def expand(self) -> list[tuple[dict, Scenario]]:
         """The grid as ``(axis values, concrete spec)`` pairs, in order."""
-        from dataclasses import replace
-
         points: list[tuple[dict, Scenario]] = [({}, self.base)]
         for axis, values in self.axes:
             points = [
-                ({**vals, axis: v}, _apply_axis(spec, axis, v))
+                ({**vals, axis: v}, apply_axis(spec, axis, v))
                 for vals, spec in points
                 for v in values
             ]
@@ -452,46 +299,6 @@ class ChaosStudy:
         for _, spec in self.expand():
             spec.validate()
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "study": self.kind,
-            "name": self.name,
-            "seeds": list(self.seeds),
-            "faults": self.faults,
-            "kinds": list(self.kinds),
-            "start": list(self.start),
-            "downtime": list(self.downtime),
-            "factor": list(self.factor),
-            "window": self.window,
-            "target": self.target,
-            "axes": _thaw_axes(self.axes),
-            "base": self.base.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosStudy":
-        _check_keys(
-            data,
-            {"study", "name", "seeds", "faults", "kinds", "start",
-             "downtime", "factor", "window", "target", "axes", "base"},
-            "chaos study",
-        )
-        if "base" not in data:
-            raise ValueError("chaos study missing required key 'base'")
-        return cls(
-            base=Scenario.from_dict(data["base"]),
-            seeds=tuple(data.get("seeds", (0,))),
-            faults=int(data.get("faults", 2)),
-            kinds=tuple(data.get("kinds", FAULT_KINDS)),
-            start=tuple(data.get("start", (0.2, 0.6))),
-            downtime=tuple(data.get("downtime", (1.0, 5.0))),
-            factor=tuple(data.get("factor", (1.5, 3.0))),
-            window=float(data.get("window", 1.0)),
-            target=float(data.get("target", 0.9)),
-            axes=tuple(dict(data.get("axes", {})).items()),
-            name=str(data.get("name", "")),
-        )
 
 
 _STUDY_KINDS = {
