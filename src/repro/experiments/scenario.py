@@ -170,9 +170,9 @@ class TraceSpec(Spec):
     args: tuple = field(_TRACE_ARGS, ())
     scale: float = field(Num("(0, 1]"), 1.0)
     bursts: tuple[BurstSpec, ...] = field(Seq(Nested(BurstSpec)), ())
-    path: str | None = field(Opt(Str()), None, emit="set")
-    digest: str | None = field(Opt(Str()), None, emit="set")
-    stream: bool = field(Bool(), False, emit="set")
+    path: str | None = field(Opt(Str()), None, omit_default=True)
+    digest: str | None = field(Opt(Str()), None, omit_default=True)
+    stream: bool = field(Bool(), False, omit_default=True)
 
     def _check(self) -> None:
         clashes = {"name", "base_rate", "duration", "seed"} & dict(self.args).keys()
@@ -454,7 +454,7 @@ class Scenario(Spec):
     #: the serialized form key-free, so all pre-existing fingerprints are
     #: unchanged.
     resilience: tuple = field(
-        Map(Nested(HopResilience), frozen=True), (), emit="set"
+        Map(Nested(HopResilience), frozen=True), (), omit_default=True
     )
 
     def _check(self) -> None:
@@ -646,7 +646,7 @@ class TenantSpec(Spec):
     scenario: Scenario = field(Nested(Scenario))
     # Emitted only when set, so pre-quota specs keep their serialized form
     # — and therefore their cache fingerprints.
-    quota: int | dict[str, int] | None = field(_COUNTS, None, emit="set")
+    quota: int | dict[str, int] | None = field(_COUNTS, None, omit_default=True)
 
     def _check(self) -> None:
         if self.quota == {}:

@@ -41,8 +41,8 @@ Every error is one line that names the field — ``<prefix><field> must be
 ``profile 'gen': ``…); unknown and missing dict keys raise ``unknown
 <section> keys: […]`` and ``<section> missing required keys: […]``.
 
-A field declared ``emit="set"`` is left out of the dict form while it
-holds its default.  Fields added after specs were first saved use it, so
+A field declared ``omit_default=True`` is left out of the dict form while
+it holds its default.  Fields added after specs were first saved use it, so
 an older spec keeps its JSON text — and so its :meth:`Spec.fingerprint`
 — byte for byte.  What the declarations cannot say lives in three small
 hooks per class: ``_check`` for cross-field rules, and ``_read``/
@@ -303,8 +303,7 @@ class Policy(Nested):
 class Seq(Kind):
     """A list of ``kind`` values, stored as a tuple.
 
-    ``item`` names one element and makes an empty list an error;
-    ``length`` fixes the element count.
+    ``item`` names one element and makes an empty list an error.
     """
 
     def __init__(self, kind: Kind, *, item: str | None = None) -> None:
@@ -366,7 +365,7 @@ class Either(Kind):
         self.scalar, self.mapping = scalar, mapping
 
     def _kind(self, value: Any) -> Kind:
-        return self.mapping if isinstance(value, (Mapping, tuple)) else self.scalar
+        return self.mapping if isinstance(value, Mapping) else self.scalar
 
     def load(self, value: Any, where: str) -> Any:
         return self._kind(value).load(value, where)
@@ -380,6 +379,7 @@ class Pair(Kind):
 
     def __init__(self, bound: str) -> None:
         self.bound = Bound.parse(bound)
+        self.number = Num()
 
     def load(self, value: Any, where: str) -> tuple:
         if not _is_list(value) or len(value) != 2:
@@ -387,7 +387,7 @@ class Pair(Kind):
                 f"{where} must be a (lo, hi) pair with lo <= hi, "
                 f"got {show(value)}"
             )
-        lo, hi = (Num().load(v, where) for v in value)
+        lo, hi = (self.number.load(v, where) for v in value)
         if lo > hi:
             raise ValueError(
                 f"{where} must be a (lo, hi) pair with lo <= hi, "
@@ -420,7 +420,7 @@ class Json(Kind):
             )
         if not isinstance(value, numbers.Real):
             raise ValueError(f"{where} must be JSON data, got {show(value)}")
-        if not math.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{where} must be finite, got {value!r}")
         return value
 
@@ -483,21 +483,16 @@ class Axes(Kind):
 # -- declarations -----------------------------------------------------------------
 
 
-def field(kind: Kind, default: Any = dataclasses.MISSING, *,
-          factory: Callable[[], Any] | None = None, key: Any = "",
-          emit: str = "always", kw_only: bool = False) -> Any:
+def field(kind: Kind, default: Any = dataclasses.MISSING, *, key: Any = "",
+          omit_default: bool = False, kw_only: bool = False) -> Any:
     """Declare one spec field (a :func:`dataclasses.field` carrying it).
 
     ``key`` is the dict key (default: the field name; ``None``: none).
-    ``emit="set"`` leaves the key out of the dict form at the default.
+    ``omit_default`` leaves the key out of the dict form at the default.
     """
-    if emit not in ("always", "set"):
-        raise ValueError(f"emit must be 'always' or 'set', got {emit!r}")
-    extra = {"kw_only": True} if kw_only else {}
-    if factory is not None:
-        extra["default_factory"] = factory
     return dataclasses.field(
-        default=default, metadata={"schema": (kind, key, emit)}, **extra
+        default=default, metadata={"schema": (kind, key, omit_default)},
+        **({"kw_only": True} if kw_only else {}),
     )
 
 
@@ -510,15 +505,14 @@ class _Declared:
         self.names: dict[str, str] = {}
         self.required: list[str] = []
         for f in dataclasses.fields(cls):
-            kind, key, emit = f.metadata["schema"]
+            kind, key, omit_default = f.metadata["schema"]
             key = f.name if key == "" else key
             self.loads.append((f.name, kind, key or f.name))
             if key is None:
                 continue
-            self.dumps.append((f.name, kind, key, emit == "set", f.default))
+            self.dumps.append((f.name, kind, key, omit_default, f.default))
             self.names[key] = f.name
-            if (f.default is dataclasses.MISSING
-                    and f.default_factory is dataclasses.MISSING):
+            if f.default is dataclasses.MISSING:
                 self.required.append(key)
 
 
@@ -570,13 +564,15 @@ class Spec:
         return table
 
     def __post_init__(self) -> None:
+        # getattr/object.__setattr__, never self.__dict__: reading that
+        # materializes the instance dict, which slows every later attribute
+        # load on hot-path specs (module.spec.id, profile.decode_base).
         prefix = self._where()
-        state = self.__dict__
         for name, kind, label in self._declared().loads:
-            value = state[name]
+            value = getattr(self, name)
             out = kind.load(value, prefix + label)
             if out is not value:
-                state[name] = out
+                object.__setattr__(self, name, out)
         self._check()
 
     # -- hooks ----------------------------------------------------------------
@@ -627,10 +623,9 @@ class Spec:
 
     def to_dict(self) -> Any:
         out = {} if self._tag is None else {self._tag[0]: self._tag[1]}
-        state = self.__dict__
-        for name, kind, key, when_set, default in self._declared().dumps:
-            value = state[name]
-            if when_set and value == default:
+        for name, kind, key, omit_default, default in self._declared().dumps:
+            value = getattr(self, name)
+            if omit_default and value == default:
                 continue
             out[key] = kind.dump(value)
         return self._write(out)

@@ -51,9 +51,9 @@ class FailureEvent(Spec):
     module_id: str = declare(Str())
     workers: int = declare(Int(">= 1"), 1)
     downtime: float = declare(Num("> 0"), 10.0)
-    kind: str = declare(Str(), "kill", emit="set")
+    kind: str = declare(Str(), "kill", omit_default=True)
     # link faults: the edge module_id -> dst
-    dst: str | None = declare(Opt(Str()), None, emit="set")
+    dst: str | None = declare(Opt(Str()), None, omit_default=True)
     # degrade faults: service-time multiplier
     factor: float = declare(Num(), 2.0)
 

@@ -73,8 +73,8 @@ class HopResilience(Spec):
     retry_max: int = field(Int(">= 0"), 1, key="retry.max")
     backoff_base: float = field(Num("> 0"), 0.05, key="retry.base")
     backoff_jitter: float = field(Num(">= 0"), 0.0, key="retry.jitter")
-    hedge: float | None = field(Opt(Num()), None, emit="set")
-    fallback: str | None = field(Opt(Str()), None, emit="set")
+    hedge: float | None = field(Opt(Num()), None, omit_default=True)
+    fallback: str | None = field(Opt(Str()), None, omit_default=True)
 
     def _check(self) -> None:
         if self.timeout is None and self.hedge is None:

@@ -116,7 +116,7 @@ def test_emit_when_set_keeps_the_default_out_of_the_dict_form():
     class Probe(schema.Spec):
         always: int = schema.field(schema.Int(), 0)
         optional: str | None = schema.field(
-            schema.Opt(schema.Str()), None, emit="set"
+            schema.Opt(schema.Str()), None, omit_default=True
         )
 
     assert Probe().to_dict() == {"always": 0}
