@@ -17,7 +17,7 @@ from .llm_profiles import (
     TokenDist,
     is_llm_application,
     llm_chat,
-    profile_from_dict,
+    profile_class,
     rag_agentic,
 )
 from .profiles import DEFAULT_PROFILES, ModelProfile, ProfileRegistry
@@ -42,7 +42,7 @@ __all__ = [
     "known_applications",
     "llm_chat",
     "lv",
-    "profile_from_dict",
+    "profile_class",
     "rag_agentic",
     "register_application",
     "tm",

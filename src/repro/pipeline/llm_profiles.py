@@ -191,11 +191,6 @@ def profile_class(data: Mapping[str, Any]) -> type[ModelProfile]:
     return LLMProfile if is_llm_profile_dict(data) else ModelProfile
 
 
-def profile_from_dict(data: Mapping[str, Any]) -> ModelProfile:
-    """Deserialize either profile flavour from its dict form."""
-    return profile_class(data).from_dict(data)
-
-
 # Default token-level profiles, registered next to the vision models so
 # scenario files can reference them by name.  Costs are plausible for a
 # single A100-class GPU serving a ~7B model (prefill ~50k tok/s, decode

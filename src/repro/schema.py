@@ -79,6 +79,12 @@ def _is_list(value: Any) -> bool:
     return isinstance(value, (list, tuple))
 
 
+def _is_mapping(value: Any) -> bool:
+    # The exact-type test skips the slower abstract-class check for the
+    # common case, a plain dict.
+    return type(value) is dict or isinstance(value, Mapping)
+
+
 def _is_pairs(value: Any) -> bool:
     return _is_list(value) and all(_is_list(p) and len(p) == 2 for p in value)
 
@@ -198,7 +204,10 @@ class Num(_Choice):
         self.bound = Bound.parse(bound) if isinstance(bound, str) else bound
 
     def coerce(self, value: Any, where: str) -> Any:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        exact = type(value)
+        if exact is not float and exact is not int and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)
+        ):
             what = "an integer" if self.integral else "a number"
             raise ValueError(f"{where} must be {what}, got {show(value)}")
         if self.integral and isinstance(value, numbers.Integral):
@@ -270,7 +279,7 @@ class Nested(Kind):
     def load(self, value: Any, where: str) -> Any:
         if isinstance(value, self.cls):
             return value
-        if not isinstance(value, Mapping):
+        if not _is_mapping(value):
             raise ValueError(f"{where} must be {self.what}, got {show(value)}")
         cls = self.pick(value) if self.pick is not None else self.cls
         if not self.wrap:
@@ -336,7 +345,7 @@ class Map(Kind):
         self.kind, self.frozen, self.item = kind, frozen, item
 
     def load(self, value: Any, where: str) -> Any:
-        if isinstance(value, Mapping):
+        if _is_mapping(value):
             pairs = value.items()
         elif self.frozen and _is_pairs(value):
             pairs = value
@@ -365,7 +374,7 @@ class Either(Kind):
         self.scalar, self.mapping = scalar, mapping
 
     def _kind(self, value: Any) -> Kind:
-        return self.mapping if isinstance(value, Mapping) else self.scalar
+        return self.mapping if _is_mapping(value) else self.scalar
 
     def load(self, value: Any, where: str) -> Any:
         return self._kind(value).load(value, where)
@@ -444,7 +453,7 @@ class Axes(Kind):
         self.policy = policy
 
     def load(self, value: Any, where: str) -> tuple:
-        if isinstance(value, Mapping):
+        if _is_mapping(value):
             items = value.items()
         elif _is_pairs(value):
             items = value
@@ -598,7 +607,7 @@ class Spec:
     @classmethod
     def from_dict(cls, data: Any) -> "Spec":
         data = cls._read(data)
-        if not isinstance(data, Mapping):
+        if not _is_mapping(data):
             raise ValueError(
                 f"{cls._section} section must be a mapping, got {show(data)}"
             )
