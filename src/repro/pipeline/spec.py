@@ -38,25 +38,26 @@ so a later join is never over- or under-counted.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .. import schema
+from ..schema import Seq, Spec, Str, field
 
 
 @dataclass(frozen=True)
-class ModuleSpec(schema.Spec):
+class ModuleSpec(Spec):
     """One module (one DNN model) in the pipeline DAG."""
 
     _section, _prefix = "module", "module "
 
-    id: str = schema.field(schema.Str())
-    model: str = schema.field(schema.Str())
-    pres: tuple[str, ...] = schema.field(schema.Seq(schema.Str()), ())
-    subs: tuple[str, ...] = schema.field(schema.Seq(schema.Str()), ())
+    id: str = field(Str())
+    model: str = field(Str())
+    pres: tuple[str, ...] = field(Seq(Str()), ())
+    subs: tuple[str, ...] = field(Seq(Str()), ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +87,7 @@ class PipelineSpec:
     """
 
     name: str
-    modules: list[ModuleSpec] = field(default_factory=list)
+    modules: list[ModuleSpec] = dataclasses.field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._by_id = {m.id: m for m in self.modules}

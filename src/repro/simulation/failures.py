@@ -24,10 +24,10 @@ old format for worker kills.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
-from ..schema import Int, Num, Opt, Spec, Str
-from ..schema import field as declare
+from ..schema import Int, Num, Opt, Spec, Str, field
 from .cluster import Cluster
 from .request import RequestStatus
 
@@ -47,15 +47,15 @@ class FailureEvent(Spec):
 
     _section, _prefix = "failure-event", "failure "
 
-    time: float = declare(Num(">= 0"))
-    module_id: str = declare(Str())
-    workers: int = declare(Int(">= 1"), 1)
-    downtime: float = declare(Num("> 0"), 10.0)
-    kind: str = declare(Str(), "kill", omit_default=True)
+    time: float = field(Num(">= 0"))
+    module_id: str = field(Str())
+    workers: int = field(Int(">= 1"), 1)
+    downtime: float = field(Num("> 0"), 10.0)
+    kind: str = field(Str(), "kill", omit_default=True)
     # link faults: the edge module_id -> dst
-    dst: str | None = declare(Opt(Str()), None, omit_default=True)
+    dst: str | None = field(Opt(Str()), None, omit_default=True)
     # degrade faults: service-time multiplier
-    factor: float = declare(Num(), 2.0)
+    factor: float = field(Num(), 2.0)
 
     def _check(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -129,8 +129,8 @@ class FailureInjector:
     """Applies a schedule of :class:`FailureEvent` to a cluster."""
 
     cluster: Cluster
-    events: list[FailureEvent] = field(default_factory=list)
-    records: list[FaultRecord] = field(default_factory=list)
+    events: list[FailureEvent] = dataclasses.field(default_factory=list)
+    records: list[FaultRecord] = dataclasses.field(default_factory=list)
 
     @property
     def log(self) -> list[str]:
