@@ -15,10 +15,10 @@ with :func:`field`::
 A declaration gives the field's *kind*, its default, its bound (part of
 the numeric kinds), its dict key (the field name unless ``key=`` says
 otherwise; ``key=None`` keeps a derived field out of the dict form) and
-whether the key is emitted only when set.  :meth:`Spec.__post_init__`
-runs every kind on every construction path — ``from_dict``, Python
-keywords, ``dataclasses.replace`` and sweep axes — so all of them coerce
-and reject alike.  The kinds:
+whether the key is emitted only when set (``omit_default``).
+:meth:`Spec.__post_init__` runs every kind on every construction path —
+``from_dict``, Python keywords, ``dataclasses.replace`` and sweep axes —
+so all of them coerce and reject alike.  The kinds:
 
 * :class:`Bool` takes ``true``/``false`` only.
 * :class:`Int` and :class:`Num` take numbers, never a bool.  A number must

@@ -111,7 +111,7 @@ def test_bounds_read_as_they_print(text, inside, outside, shown):
     assert str(bound) == shown
 
 
-def test_emit_when_set_keeps_the_default_out_of_the_dict_form():
+def test_omit_default_keeps_the_default_out_of_the_dict_form():
     @dataclass(frozen=True)
     class Probe(schema.Spec):
         always: int = schema.field(schema.Int(), 0)
