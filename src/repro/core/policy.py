@@ -21,6 +21,10 @@ from .broker import RequestBroker, SubMode
 from .priority import AdaptivePriorityController, DeadlineDepqQueue, PriorityMode
 from .state_planner import PathMode, StatePlanner, WaitMode
 
+# Bound once (see repro.simulation.request).
+_ESTIMATED_VIOLATION = DropReason.ESTIMATED_VIOLATION
+_BUDGET_EXCEEDED = DropReason.BUDGET_EXCEEDED
+
 
 class BudgetMode:
     """Which budget the estimate is compared against (ablation knob)."""
@@ -100,7 +104,7 @@ class PardPolicy(DropPolicy):
     def should_drop(self, ctx: DropContext) -> DropReason | None:
         if self.budget_mode == BudgetMode.E2E:
             if self.broker.estimate_total(ctx) > ctx.slo:
-                return DropReason.ESTIMATED_VIOLATION
+                return _ESTIMATED_VIOLATION
             return None
         # Split-budget variants compare the *cumulative* elapsed time plus
         # the current module's execution against the budget allocated to
@@ -111,7 +115,7 @@ class PardPolicy(DropPolicy):
             self.cluster.hop_id(ctx.module), ctx.slo
         )
         if ctx.elapsed + ctx.batch_duration > budget:
-            return DropReason.BUDGET_EXCEEDED
+            return _BUDGET_EXCEEDED
         return None
 
     # -- split-budget ablations ---------------------------------------------------

@@ -27,7 +27,7 @@ import inspect
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import AbstractSet, Any, Iterable, Mapping, Sequence
 
 from ..metrics.goodput import GoodputSpec
 from ..pipeline.applications import APPLICATIONS, Application, get_application
@@ -72,6 +72,12 @@ _TRACE_ARGS = Map(Json(), frozen=True, item="trace arg {key!r}")
 #: Worker counts (and tenant quotas): one count, or one per module/pool.
 _COUNTS = Opt(Either(Int(">= 1"), Map(Int(">= 1"))))
 
+#: Module ids of registered applications, keyed by (name, factory) so a
+#: re-registered factory misses: grid expansion constructs a spec per
+#: cell, and building the app (its kill plans) per cell cost more than
+#: the rest of the construction.
+_APP_MODULE_IDS: dict[tuple[str, Any], frozenset[str]] = {}
+
 
 def generator_kwargs(args: tuple) -> dict:
     """Frozen :class:`TraceSpec` ``args`` back as generator keywords."""
@@ -81,7 +87,7 @@ def generator_kwargs(args: tuple) -> dict:
 def _check_provision_targets(
     workers: "int | dict[str, int] | None",
     failures: "tuple[FailureEvent, ...]",
-    ids: set[str],
+    ids: AbstractSet[str],
     noun: str,
     suffix: str = "",
 ) -> None:
@@ -475,22 +481,28 @@ class Scenario(Spec):
             if module_ids is not None:
                 self._check_targets(module_ids)
 
-    def _known_module_ids(self) -> set[str] | None:
+    def _known_module_ids(self) -> frozenset[str] | None:
         """Module ids when resolvable without running (else ``None``).
 
         Inline pipelines carry their modules; named apps resolve iff the
-        name is already registered.
+        name is already registered, once per registered factory.
         """
         if self.app.modules:
-            return {m.id for m in self.app.modules}
-        if self.app.name in APPLICATIONS:
+            return frozenset(m.id for m in self.app.modules)
+        name = self.app.name
+        factory = APPLICATIONS.get(name)
+        if factory is None:
+            return None
+        ids = _APP_MODULE_IDS.get((name, factory))
+        if ids is None:
             try:
-                return set(self.app.build().spec.module_ids)
+                ids = frozenset(self.app.build().spec.module_ids)
             except (KeyError, ValueError):
                 return None
-        return None
+            _APP_MODULE_IDS[(name, factory)] = ids
+        return ids
 
-    def _check_targets(self, module_ids: set[str]) -> None:
+    def _check_targets(self, module_ids: AbstractSet[str]) -> None:
         _check_provision_targets(
             self.workers, self.failures, module_ids, "module"
         )

@@ -25,6 +25,11 @@ from typing import NamedTuple
 from ..simulation.request import DropReason, Request, RequestStatus
 from .goodput import GoodputSpec, constraint_checks
 
+# Members bound once (see repro.simulation.request).
+_IN_FLIGHT = RequestStatus.IN_FLIGHT
+_COMPLETED = RequestStatus.COMPLETED
+_DROPPED = RequestStatus.DROPPED
+
 
 class VisitRecord(NamedTuple):
     """Latency decomposition of one executed module visit."""
@@ -62,7 +67,7 @@ class RequestRecord(NamedTuple):
     @property
     def counts_as_dropped(self) -> bool:
         """Paper §5.1: completed-but-SLO-violating requests count as dropped."""
-        return self.status is RequestStatus.DROPPED or not self.met_slo
+        return self.status is _DROPPED or not self.met_slo
 
     @property
     def wasted_gpu_time(self) -> float:
@@ -71,9 +76,9 @@ class RequestRecord(NamedTuple):
 
 
 #: Code tables: a code column holds the member's index in its table.
-_STATUSES = (RequestStatus.COMPLETED, RequestStatus.DROPPED)
+_STATUSES = (_COMPLETED, _DROPPED)
 _REASONS = (None, *DropReason)
-_DROPPED = _STATUSES.index(RequestStatus.DROPPED)
+_DROPPED_CODE = _STATUSES.index(_DROPPED)
 
 #: Typecode of each request column, in :class:`RequestRecord` field order.
 #: Integer columns are sized to the range their values need; a value out
@@ -201,14 +206,14 @@ class MetricsCollector:
     def record_request(self, request: Request) -> None:
         """Snapshot a request that has reached a terminal state."""
         status = request.status
-        if status is RequestStatus.IN_FLIGHT:
+        if status is _IN_FLIGHT:
             raise ValueError(f"request {request.rid} is still in flight")
         assert request.finished_at is not None
         met_slo = request.met_slo
         gpu_time = request.gpu_time
-        counts_as_dropped = status is RequestStatus.DROPPED or not met_slo
+        counts_as_dropped = status is _DROPPED or not met_slo
         self.count += 1
-        if status is RequestStatus.COMPLETED:
+        if status is _COMPLETED:
             self.completed_count += 1
         if met_slo:
             self.good_count += 1
@@ -224,7 +229,7 @@ class MetricsCollector:
         gp = self.goodput
         if gp is not None and gp.declared:
             self.gp_tokens_out += request.tokens_out
-            if status is RequestStatus.COMPLETED:
+            if status is _COMPLETED:
                 ttft_ok, tpot_ok, e2e_ok = constraint_checks(gp, request)
                 self.gp_ttft_met += ttft_ok
                 self.gp_tpot_met += tpot_ok
@@ -305,7 +310,7 @@ class MetricsCollector:
             return
         columns = other._request_columns
         _, _, _, status, met, _, gpu, *_ = columns
-        dropped = [s == _DROPPED or not m for s, m in zip(status, met)]
+        dropped = [s == _DROPPED_CODE or not m for s, m in zip(status, met)]
         self.gpu_time_total = reduce(add, gpu, self.gpu_time_total)
         self.wasted_gpu_total = reduce(
             add, compress(gpu, dropped), self.wasted_gpu_total)
@@ -358,7 +363,7 @@ class MetricsCollector:
 
     @property
     def completed(self) -> list[RequestRecord]:
-        return [r for r in self.records if r.status is RequestStatus.COMPLETED]
+        return [r for r in self.records if r.status is _COMPLETED]
 
     @property
     def good(self) -> list[RequestRecord]:

@@ -125,15 +125,15 @@ class LLMProfile(ModelProfile):
         request back to the queue when the cache fills.
 
     ``base``/``per_item`` are derived from the phase costs and the
-    distribution expectations unless given explicitly, so the profile
+    distribution expectations on every construction (``dataclasses
+    .replace`` included; a value passed in is replaced), so the profile
     plugs into batch planning and provisioning as a normal
-    :class:`ModelProfile`.
+    :class:`ModelProfile` whose affine cost always matches its phases.
     """
 
     _tag = ("kind", "llm")
 
-    # Derived from the phase costs when left at 0, and kept out of the
-    # dict form.
+    # Derived from the phase costs, and kept out of the dict form.
     base: float = field(Num(">= 0"), 0.0, key=None)
     per_item: float = field(Num(">= 0"), 0.0, key=None)
     prefill_base: float = field(Num("> 0"), 0.004)
@@ -154,16 +154,14 @@ class LLMProfile(ModelProfile):
         # B: one shared prefill pass plus E[out] decode iterations —
         # d(B) = (prefill_base + E[out]*decode_base)
         #        + (prefill_per_token*E[prompt] + E[out]*decode_per_token)*B.
-        if self.base <= 0:
-            object.__setattr__(
-                self, "base", self.prefill_base + e_out * self.decode_base
-            )
-        if self.per_item <= 0:
-            object.__setattr__(
-                self,
-                "per_item",
-                self.prefill_per_token * e_prompt + e_out * self.decode_per_token,
-            )
+        object.__setattr__(
+            self, "base", self.prefill_base + e_out * self.decode_base
+        )
+        object.__setattr__(
+            self,
+            "per_item",
+            self.prefill_per_token * e_prompt + e_out * self.decode_per_token,
+        )
 
     # -- token-phase costs --------------------------------------------------
 

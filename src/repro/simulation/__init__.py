@@ -3,7 +3,7 @@
 from .batching import plan_batch_sizes, provision_workers, slo_split
 from .cluster import Cluster
 from .dispatcher import LeastLoadedDispatcher
-from .engine import EventHandle, Simulator
+from .engine import Simulator
 from .failures import FailureEvent, FailureInjector
 from .module import Module
 from .request import DropReason, ModuleVisit, Request, RequestStatus
@@ -30,7 +30,6 @@ __all__ = [
     "Batch",
     "Cluster",
     "DropReason",
-    "EventHandle",
     "FailureEvent",
     "FailureInjector",
     "LeastLoadedDispatcher",

@@ -30,6 +30,8 @@ from .request import DropReason, Request, RequestStatus
 from .rng import RngStreams
 from .routing import PathRouter, StaticRouter
 
+_DROPPED = RequestStatus.DROPPED  # bound once (see .request)
+
 
 class RequestFlow:
     """Request lifecycle over one pipeline DAG, with token-flow joins.
@@ -133,7 +135,7 @@ class RequestFlow:
 
     def on_module_done(self, request: Request, module: Module) -> None:
         """A worker finished executing ``request`` at ``module``."""
-        if request.status is RequestStatus.DROPPED:
+        if request.status is _DROPPED:
             # A sibling DAG branch dropped the request while this branch was
             # executing; the GPU time is already attributed and will count
             # as invalid.  Do not forward further.
@@ -278,7 +280,7 @@ class RequestFlow:
 
     def drop(self, request: Request, module_id: str, reason: DropReason) -> None:
         """Drop a request at ``module_id`` (idempotent for DAG siblings)."""
-        if request.status is RequestStatus.DROPPED:
+        if request.status is _DROPPED:
             return
         request.mark_dropped(module_id, reason, self.sim.now)
         self._forget(request)
@@ -417,7 +419,7 @@ class Cluster(RequestFlow):
     def stop_ticks(self) -> None:
         """Cancel periodic ticks so the event queue can drain."""
         if self._tick_handle is not None:
-            self._tick_handle.cancel()
+            self.sim.cancel(self._tick_handle)
             self._tick_handle = None
         self._tick_started = False
         for controller in self._periodics:

@@ -6,14 +6,18 @@ runs as callbacks scheduled on a single simulated clock.  Events with equal
 timestamps fire in scheduling order, which makes every run reproducible for
 a given seed and configuration.
 
-The heap holds plain ``(time, seq, handle)`` tuples: ``seq`` is unique, so
-tuple comparison never reaches the handle and ordering costs two native
-comparisons instead of a generated dataclass ``__lt__`` — the single
-hottest comparison site in the simulator.  Cancellation is lazy (the handle
-is flagged and skipped at pop time), but the heap compacts itself whenever
-tombstones outnumber live events, so a workload that schedules and cancels
-heavily (timeout guards, rescheduled ticks) cannot grow the heap — or the
-``run(until=...)`` head-walk — without bound.
+An event is one mutable heap entry, the list ``[time, seq, callback,
+args]``, and that list is also what :meth:`Simulator.schedule` returns.
+``seq`` is unique, so comparing two entries never reaches the callback
+and ordering costs two native comparisons.  Firing an event clears its
+``callback`` slot, and :meth:`Simulator.cancel` clears it too, so the slot
+reads ``None`` once an event can no longer fire: a cancel after the event
+fired (or a second cancel) is a no-op.  Cancellation is lazy (the entry
+stays in the heap and is skipped at pop time), but the heap compacts
+itself whenever tombstones outnumber live events, so a workload that
+schedules and cancels heavily (timeout guards, rescheduled ticks) cannot
+grow the heap — or the ``run(until=...)`` head-walk — without bound.
+The clock, ``now``, is a plain attribute that only the engine writes.
 
 Arrival *lanes* (:meth:`Simulator.open_lane`) carry streamed request
 arrivals: a lane reserves a contiguous block of sequence numbers when it
@@ -34,36 +38,9 @@ from typing import Any, Callable
 #: to be worth rebuilding over.
 _COMPACT_MIN = 64
 
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`, usable to cancel."""
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple[Any, ...],
-    ) -> None:
-        self._sim = sim
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if it already fired)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.callback is not None:
-            # Still queued: count the tombstone and let the simulator
-            # decide whether the heap is worth compacting.
-            self._sim._note_cancelled()
+#: A scheduled event, ``[time, seq, callback, args]``; ``callback`` is
+#: ``None`` once the event fired or was cancelled.
+Event = list
 
 
 class ArrivalLane:
@@ -92,12 +69,13 @@ class ArrivalLane:
 
     def schedule(
         self, time: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` at ``time`` in this lane's slot."""
-        if not time >= self._sim._now:  # also refuses NaN
+        sim = self._sim
+        if not time >= sim.now:  # also refuses NaN
             raise ValueError(
                 f"cannot schedule event at {time:.6f}s before "
-                f"now={self._sim._now:.6f}s"
+                f"now={sim.now:.6f}s"
             )
         if time < self._last:
             raise ValueError(
@@ -105,13 +83,13 @@ class ArrivalLane:
                 f"{self._last!r} (is the arrival source sorted?)"
             )
         self._last = time
-        if self._k >= self._SPAN:  # pragma: no cover - 2**44 arrivals
+        k = self._k
+        if k >= self._SPAN:  # pragma: no cover - 2**44 arrivals
             raise OverflowError("arrival lane exhausted")
-        seq = self._base + self._k
-        self._k += 1
-        handle = EventHandle(self._sim, time, seq, callback, args)
-        heapq.heappush(self._sim._heap, (time, seq, handle))
-        return handle
+        self._k = k + 1
+        entry = [time, self._base + k, callback, args]
+        heapq.heappush(sim._heap, entry)
+        return entry
 
 
 class Simulator:
@@ -129,20 +107,16 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._heap: list[Event] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulation time in seconds (written by the engine only).
+        self.now = 0.0
         self._processed = 0
         self._cancelled = 0  # tombstones still sitting in the heap
 
     def open_lane(self) -> ArrivalLane:
         """Open a streaming arrival lane (see :class:`ArrivalLane`)."""
         return ArrivalLane(self)
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def processed_events(self) -> int:
@@ -156,31 +130,38 @@ class Simulator:
 
     def schedule(
         self, time: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation ``time``.
 
+        Returns the event's heap entry, which :meth:`cancel` takes.
         Scheduling in the past, or at NaN, raises ``ValueError`` — the
         engine never rewinds the clock.
         """
-        if not time >= self._now:  # also refuses NaN
+        if not time >= self.now:  # also refuses NaN
             raise ValueError(
-                f"cannot schedule event at {time:.6f}s before now={self._now:.6f}s"
+                f"cannot schedule event at {time:.6f}s before now={self.now:.6f}s"
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(self, time, seq, callback, args)
-        heapq.heappush(self._heap, (time, seq, handle))
-        return handle
+        entry = [time, seq, callback, args]
+        heapq.heappush(self._heap, entry)
+        return entry
 
     def schedule_after(
         self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        return self.schedule(self._now + delay, callback, *args)
+        return self.schedule(self.now + delay, callback, *args)
 
-    def _note_cancelled(self) -> None:
+    def cancel(self, entry: Event) -> None:
+        """Prevent a scheduled event from firing (no-op once it fired or
+        was cancelled)."""
+        if entry[2] is None:
+            return
+        entry[2] = None  # a tombstone: skipped when it reaches the top
+        entry[3] = ()  # release the arguments early
         self._cancelled += 1
         if (
             self._cancelled > _COMPACT_MIN
@@ -191,14 +172,7 @@ class Simulator:
     def _compact(self) -> None:
         """Rebuild the heap without tombstones (O(live); heap order kept
         by the (time, seq) keys, so firing order is unchanged)."""
-        live = []
-        for entry in self._heap:
-            handle = entry[2]
-            if handle.cancelled:
-                handle.callback = None  # release the closure early
-                handle.args = ()
-            else:
-                live.append(entry)
+        live = [entry for entry in self._heap if entry[2] is not None]
         heapq.heapify(live)
         self._heap = live
         self._cancelled = 0
@@ -207,18 +181,15 @@ class Simulator:
         """Execute the next pending event.  Returns False when drained."""
         heap = self._heap
         while heap:
-            _, _, handle = heapq.heappop(heap)
-            if handle.cancelled:
+            entry = heapq.heappop(heap)
+            callback = entry[2]
+            if callback is None:
                 self._cancelled -= 1
-                handle.callback = None
-                handle.args = ()
                 continue
-            callback, args = handle.callback, handle.args
-            handle.callback = None  # fired: a later cancel() is a no-op
-            handle.args = ()
-            self._now = handle.time
+            entry[2] = None  # fired: a later cancel() is a no-op
+            self.now = entry[0]
             self._processed += 1
-            callback(*args)
+            callback(*entry[3])
             return True
         return False
 
@@ -235,25 +206,21 @@ class Simulator:
         while heap:
             if max_events is not None and executed >= max_events:
                 return
-            nxt = heap[0]
-            handle = nxt[2]
-            if handle.cancelled:
+            entry = heap[0]
+            callback = entry[2]
+            if callback is None:
                 heappop(heap)
                 self._cancelled -= 1
-                handle.callback = None
-                handle.args = ()
                 continue
-            if until is not None and nxt[0] > until:
-                self._now = until
+            if until is not None and entry[0] > until:
+                self.now = until
                 return
             heappop(heap)
-            callback, args = handle.callback, handle.args
-            handle.callback = None  # fired: a later cancel() is a no-op
-            handle.args = ()
-            self._now = nxt[0]
+            entry[2] = None  # fired: a later cancel() is a no-op
+            self.now = entry[0]
             self._processed += 1
-            callback(*args)
+            callback(*entry[3])
             executed += 1
             heap = self._heap  # a compaction may have swapped the list
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until

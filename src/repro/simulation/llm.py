@@ -51,14 +51,17 @@ decode iteration itself, on the same :class:`~repro.simulation.worker
   the module's target batch;
 * block mode, since preempt mode grows every reservation per decode.
 
-Both paths start an iteration through ``_start_iteration``, which reads
-the worker's degrade factor afresh each time (a straggler fault can
-begin or end between two iterations), so records, window samples and
-event order are those of going through ``_step`` every time.  A decode
-step copies nothing: ``_finish_step`` walks the batch's own request list
-while every sequence is in flight, and only a prefill's sequences pass
-through the first-token bookkeeping (every running sequence has been
-prefilled before a decode iteration starts).
+The continuation is inline and makes two calls: it records the batch
+size and schedules the next ``_finish_step``.  It reuses the undegraded
+decode duration ``_step`` computed when it started the decode batch
+(the running set cannot change while that batch executes) and reads
+the worker's degrade factor afresh each time, as ``_step`` does (a
+straggler fault can begin or end between two iterations), so records,
+window samples and event order are those of going through ``_step``
+every time.  A decode step copies nothing: ``_finish_step`` walks the
+batch's own request list while every sequence is in flight, and only a
+prefill's sequences pass through the first-token bookkeeping (every
+running sequence has been prefilled before a decode iteration starts).
 """
 
 from __future__ import annotations
@@ -72,13 +75,17 @@ from .worker import Batch, Worker
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .module import Module
 
+# Bound once (see .request).
+_IN_FLIGHT = RequestStatus.IN_FLIGHT
+_ADMISSION_CONTROL = DropReason.ADMISSION_CONTROL
+
 
 class LLMWorker(Worker):
     """One GPU running continuous batching for a token-level module."""
 
     __slots__ = (
         "kv_used", "_running", "_reserved", "_generated", "_need_prefill",
-        "_token_rng",
+        "_token_rng", "_decode_duration",
     )
 
     def __init__(self, module: "Module", worker_id: int) -> None:
@@ -93,6 +100,8 @@ class LLMWorker(Worker):
         self._reserved: dict[int, int] = {}  # rid -> reserved cache tokens
         self._generated: dict[int, int] = {}  # rid -> output tokens produced
         self._need_prefill: list[Request] = []  # admitted but not yet prefilled
+        # Undegraded duration of the executing decode batch (set by _step).
+        self._decode_duration = 0.0
         # The module's named token-length stream, shared by its workers.
         self._token_rng = module.cluster.rng.stream(f"llm:{module.spec.id}")
 
@@ -128,16 +137,15 @@ class LLMWorker(Worker):
 
     def _purge(self) -> None:
         """Evict sequences a sibling branch already dropped (free their KV)."""
-        in_flight = RequestStatus.IN_FLIGHT
         running = self._running
         for r in running:
-            if r.status is not in_flight:
+            if r.status is not _IN_FLIGHT:
                 break
         else:
             return
         keep = []
         for r in running:
-            if r.status is in_flight:
+            if r.status is _IN_FLIGHT:
                 keep.append(r)
             else:
                 self.load -= 1
@@ -146,7 +154,7 @@ class LLMWorker(Worker):
                 self._generated.pop(r.rid, None)
         self._running = keep
         self._need_prefill = [
-            r for r in self._need_prefill if r.status is in_flight
+            r for r in self._need_prefill if r.status is _IN_FLIGHT
         ]
 
     def _admit(self, now: float) -> None:
@@ -166,7 +174,6 @@ class LLMWorker(Worker):
         capacity = profile.kv_capacity
         block = not profile.preempt
         module_id = module.spec.id
-        in_flight = RequestStatus.IN_FLIGHT
         stats = module.stats
         ctx = self._ctx
         ctx.now = now
@@ -181,7 +188,7 @@ class LLMWorker(Worker):
                 request = self.queue.pop(now)
                 if request is None:
                     break
-            if request.status is not in_flight:
+            if request.status is not _IN_FLIGHT:
                 if from_forming:
                     forming.pop(0)
                 self.load -= 1
@@ -212,9 +219,7 @@ class LLMWorker(Worker):
                 self.load -= 1
                 self.telemetry.dropped_requests += 1
                 stats.record_drop()
-                module.cluster.drop(
-                    request, module_id, DropReason.ADMISSION_CONTROL
-                )
+                module.cluster.drop(request, module_id, _ADMISSION_CONTROL)
                 continue
             # Fresh sequences in preempt mode reserve prompt + the first
             # token prefill will emit; block mode reserves the worst case.
@@ -291,26 +296,16 @@ class LLMWorker(Worker):
             if profile.preempt:
                 self._grow_reservations()
             duration = profile.decode_duration(len(running))
-        batch = Batch(list(running), now, now)
-        self._start_iteration(batch, now, duration, prefill_seqs)
-
-    def _start_iteration(
-        self,
-        batch: Batch,
-        now: float,
-        duration: float,
-        prefill_seqs: list[Request] | None,
-    ) -> None:
-        """Run ``batch`` for one iteration of ``duration`` from ``now``."""
+            self._decode_duration = duration
         if self.degrade_factor != 1.0:
             duration *= self.degrade_factor  # straggler fault active
-        batch.start = now
-        batch.end = end = now + duration
+        end = now + duration
+        batch = Batch(list(running), now, end)
         self.executing = batch
         telemetry = self.telemetry
         telemetry.batches += 1
         telemetry.busy_time += duration
-        self.module.stats.record_batch(now, len(batch.requests))
+        module.stats.record_batch(now, len(running))
         self.sim.schedule(end, self._finish_step, batch, prefill_seqs)
 
     def _finish_step(
@@ -322,12 +317,11 @@ class LLMWorker(Worker):
         now = self.sim.now
         module = self.module
         module_id = module.spec.id
-        in_flight = RequestStatus.IN_FLIGHT
         source = prefill_seqs if prefill_seqs is not None else batch.requests
         producers = source
         for r in source:
-            if r.status is not in_flight:
-                producers = [r for r in source if r.status is in_flight]
+            if r.status is not _IN_FLIGHT:
+                producers = [r for r in source if r.status is _IN_FLIGHT]
                 break
         retired: list[Request] = []
         if producers:
@@ -364,14 +358,22 @@ class LLMWorker(Worker):
         if prefill_seqs is None and not retired and producers is source:
             # A quiet decode iteration (see the module docstring): continue
             # in place when _step would only start the same decode again.
-            running = self._running
-            profile = module.profile
-            if not profile.preempt and (
-                self.load == len(running) or len(running) >= module.target_batch
+            n = len(self._running)
+            if not module.profile.preempt and (
+                self.load == n or n >= module.target_batch
             ):
-                self._start_iteration(
-                    batch, now, profile.decode_duration(len(running)), None
-                )
+                duration = self._decode_duration
+                if self.degrade_factor != 1.0:
+                    duration *= self.degrade_factor  # straggler fault active
+                batch.start = now
+                batch.end = end = now + duration
+                telemetry = self.telemetry
+                telemetry.batches += 1
+                telemetry.busy_time += duration
+                stats = module.stats
+                stats.batch_sizes.record(now, float(n))
+                stats.executed += n
+                self.sim.schedule(end, self._finish_step, batch, None)
                 return
         # Forward retirees only after all engine bookkeeping is settled:
         # on_module_done can synchronously re-enter this worker (a shared

@@ -23,6 +23,8 @@ from .worker import Worker
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .cluster import Cluster
 
+_IN_FLIGHT = RequestStatus.IN_FLIGHT  # bound once (see .request)
+
 
 class Module:
     """One stage of the inference pipeline."""
@@ -102,7 +104,7 @@ class Module:
         if self._parked:
             parked, self._parked = self._parked, []
             for request in parked:
-                if request.status is RequestStatus.IN_FLIGHT:
+                if request.status is _IN_FLIGHT:
                     self.dispatch(request)
         return worker
 
@@ -201,7 +203,7 @@ class Module:
 
     def receive(self, request: Request) -> None:
         """Accept a request arriving at this module (step 4 in Figure 4)."""
-        if request.status is not RequestStatus.IN_FLIGHT:
+        if request.status is not _IN_FLIGHT:
             return  # dropped in transit (DAG sibling with network delay)
         now = self.sim.now
         request.begin_visit(self.spec.id, now)

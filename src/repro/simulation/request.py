@@ -38,6 +38,13 @@ class DropReason(enum.Enum):
     TIMEOUT = "timeout"  # per-hop resilience budget exhausted
 
 
+# Members bound once: on CPython 3.10/3.11 an ``Enum.MEMBER`` load takes the
+# unspecialized attribute path (``EnumType`` defines ``__getattr__``).
+_IN_FLIGHT = RequestStatus.IN_FLIGHT
+_COMPLETED = RequestStatus.COMPLETED
+_DROPPED = RequestStatus.DROPPED
+
+
 @dataclass(slots=True)
 class ModuleVisit:
     """Timestamps and accounting for one request at one module."""
@@ -133,7 +140,7 @@ class Request:
     def met_slo(self) -> bool:
         """True iff the request completed within its latency objective."""
         return (
-            self.status is RequestStatus.COMPLETED
+            self.status is _COMPLETED
             and self.finished_at is not None
             and self.finished_at - self.sent_at <= self.slo
         )
@@ -159,11 +166,11 @@ class Request:
 
     def mark_dropped(self, module_id: str, reason: DropReason, now: float) -> None:
         """Transition to DROPPED (idempotent for DAG sibling branches)."""
-        if self.status is RequestStatus.DROPPED:
+        if self.status is _DROPPED:
             return
-        if self.status is RequestStatus.COMPLETED:
+        if self.status is _COMPLETED:
             raise ValueError(f"request {self.rid} already completed")
-        self.status = RequestStatus.DROPPED
+        self.status = _DROPPED
         self.dropped_at_module = module_id
         self.drop_reason = reason
         self.dropped_at_time = now
@@ -171,7 +178,7 @@ class Request:
 
     def mark_completed(self, now: float) -> None:
         """Transition to COMPLETED when the last module finishes."""
-        if self.status is not RequestStatus.IN_FLIGHT:
+        if self.status is not _IN_FLIGHT:
             raise ValueError(f"request {self.rid} is {self.status}")
-        self.status = RequestStatus.COMPLETED
+        self.status = _COMPLETED
         self.finished_at = now

@@ -29,6 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 _value = itemgetter(1)
+_NAN = float("nan")  # never equal to a query time: an empty rate cache
 
 
 class WindowedSamples:
@@ -147,13 +148,13 @@ class RateMeter:
         # Policies query the rate repeatedly at one simulation instant
         # (every admission at time t); cache by ``now``, invalidated on
         # record, so repeat queries skip even the eviction walk.
-        self._cached_now = float("nan")
+        self._cached_now = _NAN
         self._cached_rate = 0.0
 
     def record(self, t: float) -> None:
         self._events.append(t)
         self.total += 1
-        self._cached_now = float("nan")
+        self._cached_now = _NAN
 
     def rate(self, now: float) -> float:
         """Events per second over the trailing window (O(1) amortized)."""

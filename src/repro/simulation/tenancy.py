@@ -434,7 +434,7 @@ class SharedCluster:
     def stop_ticks(self) -> None:
         """Cancel periodic ticks so the event queue can drain."""
         if self._tick_handle is not None:
-            self._tick_handle.cancel()
+            self.sim.cancel(self._tick_handle)
             self._tick_handle = None
         self._tick_started = False
         for controller in self._periodics:

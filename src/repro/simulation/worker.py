@@ -20,6 +20,8 @@ from ..interfaces import DropContext
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .module import Module
 
+_IN_FLIGHT = RequestStatus.IN_FLIGHT  # bound once (see .request)
+
 
 @dataclass(slots=True)
 class Batch:
@@ -156,7 +158,6 @@ class Worker:
         record_queue_delay = stats.queue_delays.record
         record_batch_wait = stats.batch_waits.record
         module_id = module.spec.id
-        in_flight = RequestStatus.IN_FLIGHT
         ctx = self._ctx
         ctx.now = now
         # Resilient hops dispatch duplicate entries (retries/hedges); the
@@ -171,7 +172,7 @@ class Worker:
                 request = queue_pop(now)
                 if request is None:
                     break
-            if request.status is not in_flight:
+            if request.status is not _IN_FLIGHT:
                 # A sibling DAG branch already dropped this request; skip it
                 # without spending GPU time (its earlier work is already
                 # accounted as invalid).
@@ -235,8 +236,10 @@ class Worker:
         self.module.stats.record_batch(now, size)
         self.sim.schedule(batch.end, self._finish_batch, batch)
         # Immediately begin forming the next batch (Figure 3b: collection
-        # starts right after the previous batch begins execution).
-        self._draw()
+        # starts right after the previous batch begins execution).  With
+        # nothing queued a draw would only pop None.
+        if self.queue:
+            self._draw()
 
     def _finish_batch(self, batch: Batch) -> None:
         """Batch execution completed: forward requests, start next batch."""
@@ -248,7 +251,7 @@ class Worker:
             self.module.cluster.on_module_done(request, self.module)
         if self.forming:
             self._start_batch()
-        else:
+        elif self.queue:
             self._draw()
         if self.draining and self.idle:
             self.module.reap(self)

@@ -300,6 +300,37 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown application"):
             scenario.validate()
 
+    def test_grid_cells_resolve_the_app_once(self, monkeypatch):
+        # Every construction checks failure targets against the app's
+        # module ids; a grid must not rebuild the app once per cell.
+        calls = []
+        tm = APPLICATIONS["tm"]
+
+        def counting_tm():
+            calls.append(1)
+            return tm()
+
+        monkeypatch.setitem(APPLICATIONS, "tm", counting_tm)
+        base = Scenario(
+            app=AppSpec(name="tm"),
+            failures=(FailureEvent(time=1.0, module_id="m3"),),
+        )
+        cells = [replace(base, seed=s) for s in range(100)]
+        assert len(cells) == 100 and len(calls) == 1
+        with pytest.raises(ValueError, match="unknown module 'm5'"):
+            replace(base, failures=(FailureEvent(time=1.0, module_id="m5"),))
+
+    def test_reregistered_app_factory_misses_the_module_id_memo(
+        self, monkeypatch
+    ):
+        target = (FailureEvent(time=1.0, module_id="m5"),)
+        with pytest.raises(ValueError, match="unknown module 'm5'"):
+            Scenario(app=AppSpec(name="tm"), failures=target)
+        # A new factory under the same name (here: a five-module DAG) is
+        # resolved afresh, so its own module ids apply.
+        monkeypatch.setitem(APPLICATIONS, "tm", APPLICATIONS["da"])
+        assert Scenario(app=AppSpec(name="tm"), failures=target).failures
+
     def test_validate_passes_and_chains(self):
         scenario = full_scenario()
         assert scenario.validate() is scenario

@@ -80,9 +80,9 @@ def test_run_until_advances_clock_when_queue_empty(sim):
 
 def test_cancelled_event_does_not_fire(sim):
     fired = []
-    handle = sim.schedule(1.0, fired.append, "x")
-    handle.cancel()
-    assert handle.cancelled
+    entry = sim.schedule(1.0, fired.append, "x")
+    sim.cancel(entry)
+    assert sim.pending_events == 0
     sim.run()
     assert fired == []
 
@@ -126,13 +126,13 @@ def test_step_returns_false_when_drained(sim):
 
 
 def test_pending_events_excludes_cancelled(sim):
-    handles = [sim.schedule(float(i + 1), lambda: None) for i in range(4)]
+    entries = [sim.schedule(float(i + 1), lambda: None) for i in range(4)]
     assert sim.pending_events == 4
-    handles[0].cancel()
-    handles[2].cancel()
+    sim.cancel(entries[0])
+    sim.cancel(entries[2])
     assert sim.pending_events == 2
     # Double-cancel must not double-count the tombstone.
-    handles[0].cancel()
+    sim.cancel(entries[0])
     assert sim.pending_events == 2
     sim.run()
     assert sim.pending_events == 0
@@ -141,10 +141,10 @@ def test_pending_events_excludes_cancelled(sim):
 
 def test_cancel_after_fire_is_noop(sim):
     fired = []
-    handle = sim.schedule(1.0, fired.append, "x")
+    entry = sim.schedule(1.0, fired.append, "x")
     sim.run()
     assert fired == ["x"]
-    handle.cancel()  # no-op: already fired
+    sim.cancel(entry)  # no-op: already fired
     assert sim.pending_events == 0
     sim.schedule(2.0, fired.append, "y")
     sim.run()
@@ -154,9 +154,9 @@ def test_cancel_after_fire_is_noop(sim):
 def test_mass_cancellation_compacts_heap(sim):
     """Tombstones must not accumulate: cancelling most of a large queue
     shrinks the underlying heap rather than leaving it for run() to walk."""
-    handles = [sim.schedule(float(i + 1), lambda: None) for i in range(1000)]
-    for h in handles[:900]:
-        h.cancel()
+    entries = [sim.schedule(float(i + 1), lambda: None) for i in range(1000)]
+    for entry in entries[:900]:
+        sim.cancel(entry)
     assert sim.pending_events == 100
     # Lazy compaction has dropped (most of) the tombstones already.
     assert len(sim._heap) < 500
@@ -166,12 +166,12 @@ def test_mass_cancellation_compacts_heap(sim):
 
 def test_firing_order_survives_compaction(sim):
     fired = []
-    handles = []
+    entries = []
     for i in range(300):
-        handles.append(sim.schedule(float(i % 7), fired.append, i))
-    for i, h in enumerate(handles):
+        entries.append(sim.schedule(float(i % 7), fired.append, i))
+    for i, entry in enumerate(entries):
         if i % 3 != 0:
-            h.cancel()
+            sim.cancel(entry)
     sim.run()
     survivors = [i for i in range(300) if i % 3 == 0]
     # Time-major, scheduling-order-minor: exactly the uncancelled events.
@@ -183,7 +183,7 @@ def test_run_until_with_cancelled_head(sim):
     fired = []
     head = sim.schedule(1.0, fired.append, "dead")
     sim.schedule(2.0, fired.append, "live")
-    head.cancel()
+    sim.cancel(head)
     sim.run(until=1.5)
     assert fired == []
     assert sim.now == 1.5

@@ -271,6 +271,26 @@ class TestBatchingPlanIntegration:
         for mid, n in workers.items():
             assert module_throughput(profile, plan[mid], n) >= 120.0
 
+    def test_replaced_profile_rederives_its_affine_cost(self):
+        """``dataclasses.replace`` passes the old derived ``base``/
+        ``per_item`` back in; they must still follow the new phase costs
+        (they stayed 0.244 where a fresh profile derives 2.404)."""
+        from dataclasses import replace
+
+        from repro.pipeline.llm_profiles import LLM_PROFILES
+
+        old = LLM_PROFILES[0]
+        changed = {
+            "decode_base": 10 * old.decode_base,
+            "prefill_per_token": 2 * old.prefill_per_token,
+        }
+        replaced = replace(old, **changed)
+        fresh = LLMProfile.from_dict({**old.to_dict(), **changed})
+        assert replaced.base == fresh.base == pytest.approx(2.404)
+        assert replaced.per_item == fresh.per_item
+        assert replaced.per_item != old.per_item
+        assert replace(old) == old
+
 
 class TestFaultsBetweenIterations:
     """A fault that lands while one batch decodes acts on its very next
