@@ -86,14 +86,16 @@ def test_depq_scaling_is_logarithmic(benchmark):
 
 def test_depq_mode_flip_rebuilds_nothing():
     """HBF and LBF pop opposite ends of one sorted run, so a mode flip
-    moves no entry: after any sequence of flips and pops the live entries
-    are the same tuple objects, in the same order, minus the popped ones."""
+    moves no entry: after any sequence of flips and pops the live columns
+    hold the same requests, in the same order, minus the popped ones, and
+    neither column is rebuilt."""
     queue, controller = make_depq()
     rng = np.random.default_rng(1)
     for k in rng.random(256).tolist():
         queue.push(Request(sent_at=k, slo=0.3), 0.0)
-    live = queue._run[queue._head:]
-    assert [e[:2] for e in live] == sorted(e[:2] for e in live)
+    keys, run = queue._keys, queue._run
+    assert keys.tolist() == sorted(keys)
+    live = run[queue._head:]
     flips = 0
     for _ in range(400):
         if rng.integers(3) == 0:
@@ -102,12 +104,14 @@ def test_depq_mode_flip_rebuilds_nothing():
         else:
             popped = queue.pop(0.0)
             if live:
-                assert popped is live.pop(-1 if controller.mode == HBF else 0)[2]
+                assert popped is live.pop(-1 if controller.mode == HBF else 0)
             else:
                 assert popped is None
         stored = queue._run[queue._head:]
         assert len(stored) == len(live)
         assert all(a is b for a, b in zip(stored, live))
+        assert queue._keys[queue._head:].tolist() == [r.deadline for r in live]
+    assert queue._keys is keys and queue._run is run
     assert flips > 100 and not live
 
 

@@ -15,15 +15,16 @@ Requests in each worker's DEPQ are keyed by their remaining latency budget
   workload, so bursty traces get a wider hysteresis band.
 
 A module's mode changes only when :meth:`AdaptivePriorityController.update`
-runs at a sync tick.  The queue keeps its entries in one list sorted by
-deadline, so either end is a constant-time pop and a mode flip moves no
-entry: the next pop simply reads the other end.
+runs at a sync tick.  The queue keeps its requests in one run sorted by
+deadline (a column of deadlines beside a list of requests), so either end
+is a constant-time pop and a mode flip moves no entry: the next pop simply
+reads the other end.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import insort
+from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -168,25 +169,28 @@ class DeadlineDepqQueue(RequestQueue):
 
     Remaining budget at a common 'now' orders identically to the absolute
     deadline ``t_s + SLO``, so the key never needs re-weighting as time
-    passes.  LBF pops the minimum ``(deadline, seq)`` — earliest deadline,
-    FIFO among ties — and HBF the maximum — latest deadline, LIFO among
-    ties.  ``seq`` is the push order, so ties never reach the request.
+    passes.  LBF pops the earliest deadline, FIFO among ties, and HBF the
+    latest, LIFO among ties.
 
-    The live entries are ``run[head:]``, one list of ``(deadline, seq,
-    request)`` tuples sorted by ``(deadline, seq)``.  Requests mostly
-    arrive in deadline order (``t_s`` grows and most pipelines share one
-    SLO), so a push usually appends; one that arrives out of order is
-    bisect-inserted after the head, an O(log n) search plus a move of the
-    entries behind it.  LBF pops the head by advancing ``head`` and HBF
-    pops the tail, both O(1), and a mode flip changes nothing stored.
-    The popped prefix is cut off once it is longer than ``_COMPACT``
-    entries and longer than the live run, so it costs O(1) amortized per
-    pop, and a pop that finds the queue empty clears it.  The FCFS
-    ablation uses a plain FIFO queue instead (the policy's
-    ``make_queue`` handles that), so modes never mix here.
+    The run is two parallel columns in (deadline, push order) order:
+    ``_keys``, an ``array('d')`` of deadlines, and ``_run``, the requests.
+    The live entries are ``[head:]`` of both.  Requests mostly arrive in
+    deadline order (``t_s`` grows and most pipelines share one SLO), so a
+    push usually appends to both; one that arrives out of order is
+    inserted into both after every equal deadline (``bisect_right`` from
+    the head), an O(log n) search plus a move of the entries behind it.
+    That is the slot a push-order tie-break gives, so no sequence number
+    is stored: a queued entry costs one slot in each column.  LBF pops
+    the head by advancing ``head`` and HBF pops both tails, both O(1),
+    and a mode flip changes nothing stored.  The popped prefix is cut off
+    both columns once it is longer than ``_COMPACT`` entries and longer
+    than the live run, so it costs O(1) amortized per pop, and a pop that
+    finds the queue empty clears both.  The FCFS ablation uses a plain
+    FIFO queue instead (the policy's ``make_queue`` handles that), so
+    modes never mix here.
     """
 
-    __slots__ = ("_module_id", "_controller", "_run", "_head", "_seq")
+    __slots__ = ("_module_id", "_controller", "_keys", "_run", "_head")
 
     #: Popped-prefix length below which LBF pops never compact the run.
     _COMPACT = 64
@@ -194,32 +198,37 @@ class DeadlineDepqQueue(RequestQueue):
     def __init__(self, module: "Module", controller: AdaptivePriorityController) -> None:
         self._module_id = module.spec.id
         self._controller = controller
-        self._run: list[tuple[float, int, Request]] = []
-        self._head = 0  # run[:head] is the popped prefix
-        self._seq = itertools.count()
+        self._keys = array("d")  # deadlines, parallel to _run
+        self._run: list[Request] = []
+        self._head = 0  # [:head] of both columns is the popped prefix
 
     def push(self, request: Request, now: float) -> None:
-        deadline = request.deadline
-        entry = (deadline, next(self._seq), request)
-        run = self._run
-        if run and deadline < run[-1][0]:
-            insort(run, entry, self._head)
+        deadline = request.sent_at + request.slo
+        keys = self._keys
+        if keys and deadline < keys[-1]:
+            i = bisect_right(keys, deadline, self._head)
+            keys.insert(i, deadline)
+            self._run.insert(i, request)
         else:
-            run.append(entry)
+            keys.append(deadline)
+            self._run.append(request)
 
     def pop(self, now: float) -> Request | None:
         run = self._run
         head = self._head
         if head == len(run):
             if head:  # drained: drop the popped prefix with it
+                del self._keys[:]
                 run.clear()
                 self._head = 0
             return None
         if self._controller.current(self._module_id) == PriorityMode.HBF:
-            return run.pop()[2]
-        request = run[head][2]
+            del self._keys[-1]
+            return run.pop()
+        request = run[head]
         head += 1
         if head > self._COMPACT and 2 * head > len(run):
+            del self._keys[:head]
             del run[:head]
             head = 0
         self._head = head

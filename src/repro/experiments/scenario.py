@@ -77,6 +77,11 @@ _COUNTS = Opt(Either(Int(">= 1"), Map(Int(">= 1"))))
 #: cell, and building the app (its kill plans) per cell cost more than
 #: the rest of the construction.
 _APP_MODULE_IDS: dict[tuple[str, Any], frozenset[str]] = {}
+#: Pool keys of shared clusters, memoized for the same reason: a layout
+#: builds every tenant app.  Keyed by each tenant's (label, app,
+#: registered factory), all that :meth:`MultiScenario.pool_layout` reads,
+#: so a re-registered factory misses.
+_POOL_KEYS: dict[tuple, frozenset[str]] = {}
 
 
 def generator_kwargs(args: tuple) -> dict:
@@ -741,15 +746,23 @@ class MultiScenario(Spec):
                 "give tenants distinct scenario names"
             )
 
-    def _known_pools(self) -> "dict | None":
-        """The pool layout when every tenant app resolves now, else None."""
-        try:
-            pools, _ = self.pool_layout()
-        except (KeyError, ValueError):
-            return None
+    def _known_pools(self) -> frozenset[str] | None:
+        """The pool keys when every tenant app resolves now, else None;
+        resolved once per tenant set (see ``_POOL_KEYS``)."""
+        key = tuple(
+            (t.label(), t.scenario.app, APPLICATIONS.get(t.scenario.app.name))
+            for t in self.tenants
+        )
+        pools = _POOL_KEYS.get(key)
+        if pools is None:
+            try:
+                pools = frozenset(self.pool_layout()[0])
+            except (KeyError, ValueError):
+                return None
+            _POOL_KEYS[key] = pools
         return pools
 
-    def _check_pool_targets(self, pools: dict) -> None:
+    def _check_pool_targets(self, pools: AbstractSet[str]) -> None:
         _check_provision_targets(
             self.workers, self.failures, set(pools), "pool",
             suffix=f"; pools: {sorted(pools)}",
@@ -847,7 +860,7 @@ class MultiScenario(Spec):
         # Authoritative pool-target pass (construction already checked when
         # every app name was registered at that point).
         pools, by_member = self.pool_layout()
-        self._check_pool_targets(pools)
+        self._check_pool_targets(pools.keys())
         for tenant in self.tenants:
             if not isinstance(tenant.quota, dict):
                 continue

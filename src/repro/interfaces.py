@@ -5,8 +5,9 @@ baseline and all Table-1 ablations) plugs into the same three seams of the
 simulator:
 
 * :meth:`DropPolicy.make_queue` — the per-worker queue discipline (FIFO for
-  reactive systems; for PARD a deadline-keyed DEPQ, one sorted run whose
-  ends the module's priority mode pops);
+  reactive systems; for PARD a deadline-keyed DEPQ, one run sorted by
+  deadline, held as a deadline column beside a request list, whose ends
+  the module's priority mode pops);
 * :meth:`DropPolicy.should_drop` — consulted by a worker at time ``t_b``,
   right before a request joins a forming batch (Figure 5 of the paper);
 * :meth:`DropPolicy.on_admit` — consulted when a request enters a module

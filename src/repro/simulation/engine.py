@@ -204,14 +204,16 @@ class Simulator:
         heappop = heapq.heappop
         heap = self._heap
         while heap:
-            if max_events is not None and executed >= max_events:
-                return
             entry = heap[0]
             callback = entry[2]
             if callback is None:
                 heappop(heap)
                 self._cancelled -= 1
                 continue
+            # After the tombstone skip, so the clock a capped run leaves
+            # does not depend on cancelled events behind the last one fired.
+            if max_events is not None and executed >= max_events:
+                return
             if until is not None and entry[0] > until:
                 self.now = until
                 return

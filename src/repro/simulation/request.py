@@ -111,7 +111,6 @@ class Request:
     visits: dict[str, ModuleVisit] = field(default_factory=dict)
     dropped_at_module: str | None = None
     drop_reason: DropReason | None = None
-    dropped_at_time: float | None = None
     # Client-observed token stream (token-level modules only).  first_
     # token_at is the earliest token of the whole pipeline (TTFT input);
     # tokens_out counts every streamed token, including ones produced by
@@ -173,7 +172,6 @@ class Request:
         self.status = _DROPPED
         self.dropped_at_module = module_id
         self.drop_reason = reason
-        self.dropped_at_time = now
         self.finished_at = now
 
     def mark_completed(self, now: float) -> None:

@@ -1,16 +1,21 @@
 """Tests for the deadline DEPQ every PARD worker queues in.
 
-``DeadlineDepqQueue`` keeps one run sorted by ``(deadline, seq)``: LBF
-pops its head and HBF its tail, so a mode flip changes nothing stored.
-A stub controller sets the mode by hand.  The model tests check every pop
-against a sorted-list oracle over ``(deadline, seq)``: one flips the mode
-at random points between pushes and pops, the other feeds mostly
-ascending deadlines in long blocks, the traffic the run is built for,
-so tail appends, out-of-order inserts and head compaction all run.
+``DeadlineDepqQueue`` keeps one run in (deadline, push order) order, as a
+column of deadlines beside a list of requests: LBF pops its head and HBF
+its tail, so a mode flip changes nothing stored.  A stub controller sets
+the mode by hand.  The model tests check every pop against a sorted-list
+oracle over ``(deadline, seq)``, with ``seq`` the push order: one flips
+the mode at random points between pushes and pops, the other feeds
+mostly ascending deadlines in long blocks, the traffic the run is built
+for, so tail appends, out-of-order inserts and head compaction all run.
+A tracemalloc guard holds a queued entry to a slot in each column.
 """
 
 from __future__ import annotations
 
+import gc
+import random
+import tracemalloc
 from types import SimpleNamespace
 
 from hypothesis import example, given, settings
@@ -98,6 +103,33 @@ def test_equal_keys_pop_min_is_fifo():
     controller.mode = HBF
     assert queue.pop(0.0) is third
     assert queue.pop(0.0) is second
+
+
+def test_queued_entry_costs_a_slot_per_column():
+    """Pushing 20k pre-built requests, one in four out of order, adds at
+    most 32 B per entry: an 8 B deadline, an 8 B request pointer and the
+    columns' over-allocation.  A ``(deadline, seq, request)`` tuple with
+    its boxed deadline and seq cost 124 B."""
+    rng = random.Random(0)
+    requests = [
+        Request(sent_at=k - rng.choice((0, 0, 0, 50)), slo=0.0)
+        for k in range(20_000)
+    ]
+    queue, _ = make_queue()
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for request in requests:
+            queue.push(request, 0.0)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(queue) == len(requests)
+    assert grown <= 32 * len(requests), grown / len(requests)
 
 
 OPS = st.lists(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.experiments.sweep import (
     run_sweep,
     scenario_cells,
 )
+from repro.pipeline.applications import APPLICATIONS
 from repro.pipeline.profiles import ModelProfile
 from repro.simulation.failures import FailureEvent
 
@@ -312,6 +314,43 @@ class TestGrid:
     def test_empty_axes_fall_back_to_base(self):
         base = full_multi()
         assert scenario_axes(base, []) == [base]
+
+    def test_grid_cells_lay_out_the_pools_once(self, monkeypatch):
+        # Every construction of a spec with failures checks their pool
+        # targets; a grid must not build every tenant app once per cell.
+        tm = APPLICATIONS["tm"]
+        monkeypatch.setitem(APPLICATIONS, "tm", lambda: tm())  # memo miss
+        calls = []
+        layout = MultiScenario.pool_layout
+
+        def counting_layout(self):
+            calls.append(1)
+            return layout(self)
+
+        monkeypatch.setattr(MultiScenario, "pool_layout", counting_layout)
+        base = load_scenario_file(
+            Path(__file__).resolve().parents[2]
+            / "examples" / "scenarios" / "shared_cluster.json"
+        )
+        cells = [replace(base, seed=s) for s in range(100)]
+        assert len(cells) == 100 and len(calls) == 1
+        with pytest.raises(ValueError, match="unknown pool"):
+            replace(base, failures=(FailureEvent(time=1.0, module_id="nosuch"),))
+
+    def test_reregistered_app_factory_misses_the_pool_memo(self, monkeypatch):
+        def one_tenant() -> MultiScenario:
+            tenant = Scenario(name="t", app=AppSpec(name="tm"))
+            return MultiScenario(
+                tenants=(TenantSpec(scenario=tenant),),
+                failures=(FailureEvent(time=1.0, module_id="icon_recognition"),),
+            )
+
+        with pytest.raises(ValueError, match="unknown pool"):
+            one_tenant()
+        # A new factory under the same name (here: gm, which has an
+        # icon_recognition module) is laid out afresh.
+        monkeypatch.setitem(APPLICATIONS, "tm", APPLICATIONS["gm"])
+        assert one_tenant().failures
 
 
 class TestExecution:

@@ -191,6 +191,20 @@ def test_run_until_with_cancelled_head(sim):
     assert fired == ["live"]
 
 
+@pytest.mark.parametrize("with_tombstone", [False, True])
+def test_capped_run_clock_ignores_trailing_tombstones(sim, with_tombstone):
+    """A run that reaches ``max_events`` leaves the same clock whether or
+    not cancelled events sit behind the last one it fired."""
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    if with_tombstone:
+        sim.cancel(sim.schedule(2.0, fired.append, "b"))
+    sim.run(until=5.0, max_events=1)
+    assert fired == ["a"]
+    assert sim.now == 5.0
+    assert sim.pending_events == 0 and not sim._heap
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=50))
 def test_property_events_execute_sorted(times):
     sim = Simulator()

@@ -79,12 +79,12 @@ class Model:
     def run(self, until: float | None, max_events: int | None) -> None:
         executed = 0
         while self.live or self.tombs:
-            if max_events is not None and executed >= max_events:
-                return
             eid, key = self._head()
             if eid is None:
                 self.tombs.remove(key)
                 continue
+            if max_events is not None and executed >= max_events:
+                return
             if until is not None and key[0] > until:
                 self.now = until
                 return
