@@ -188,13 +188,6 @@ class Module:
         """T_m: module throughput at the planned batch size (req/s)."""
         return self.n_workers * self.profile.throughput(self.target_batch)
 
-    def load_factor(self, now: float) -> float:
-        """mu = T_in / T_m: >1 means the module is under-provisioned."""
-        t_m = self.throughput()
-        if t_m <= 0:
-            return float("inf")
-        return self.stats.input_rate(now) / t_m
-
     def queue_length(self) -> int:
         """Total queued (not yet batched) requests across workers."""
         return sum(len(w.queue) for w in self.workers)

@@ -5,30 +5,43 @@ sizes over a sliding window (the paper's default: a 5-second linearly
 weighted window) and exposes them to the State Planner and to the adaptive
 priority mechanism.
 
-Aggregates are O(1) amortized: :class:`WindowedSamples` maintains running
-sums (count, value, timestamp and timestamp*value) updated on record and
-evict, so the linear-decay weighted average is evaluated algebraically —
+Aggregates are O(1) amortized: :class:`WindowedSamples` keeps running
+sums (value, timestamp and timestamp*value) of the retained samples, so
+the linear-decay weighted average is evaluated algebraically —
 
     weight(t) = 1 - (now - t) / w = (1 - now / w) + t / w
 
     sum weight_i * v_i = (1 - now / w) * sum(v) + sum(t * v) / w
     sum weight_i       = (1 - now / w) * n      + sum(t)     / w
 
-— instead of re-looping over every sample on each ``effective_batch`` /
-``load_factor`` / policy query, which made decision cost grow linearly
-with the arrival rate.  Running float sums drift as samples are added and
-subtracted, so the sums are rebuilt exactly from the retained samples
-every O(len) mutations (amortized O(1)).
+— instead of re-looping over every sample on each ``effective_batch`` or
+policy query, which made decision cost grow linearly with the arrival
+rate.  Running float sums drift as samples are added and subtracted, so
+the sums are rebuilt exactly from the retained samples every O(len)
+mutations (amortized O(1)).
+
+A window stores its samples as two ``array('d')`` columns, times and
+values, whose live part starts at a head index: 16 bytes a sample and no
+object for the cyclic garbage collector to track.  The simulator records
+on every draw and every batch but reads a window only on sync ticks and
+cache refreshes, dozens of records apart, so ``record`` only appends to
+both columns.  A read that evicts or needs the sums first folds the
+samples recorded since the last fold into them, in record order, and
+only then subtracts the expired ones.  Only reads evict, so every sum
+goes through the same float additions and subtractions, in the same
+order, as sums updated on every record would; the rebuild count and
+point, and the reset to zero when a window empties, are the same too, so
+every average is bit-identical to that eager scheme's.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import deque
-from operator import itemgetter
 
 import numpy as np
 
-_value = itemgetter(1)
 _NAN = float("nan")  # never equal to a query time: an empty rate cache
 
 
@@ -36,49 +49,100 @@ class WindowedSamples:
     """Timestamped samples with linear-decay weighted averaging.
 
     A sample of age ``a`` within window ``w`` gets weight ``1 - a / w``;
-    samples older than the window are evicted.
+    samples older than the window are evicted.  Times passed to
+    :meth:`record` never decrease (every caller passes the simulator's
+    clock), so the expired samples are a prefix of the time column and
+    eviction bisects it.
+
+    ``[head:]`` of both columns is the window and ``[:folded]`` is in the
+    running sums.  ``_mutations`` counts each sample once when it is
+    folded in and once when it is evicted, as if every record and every
+    eviction had updated the sums itself.  The evicted prefix is cut off
+    both columns once it is longer than ``_COMPACT`` samples and longer
+    than the live part, and an eviction that empties the window clears
+    both.
     """
 
     __slots__ = (
-        "window", "_inv_window", "_samples",
+        "window", "_inv_window", "_t", "_v", "_head", "_folded",
         "_sum_v", "_sum_t", "_sum_tv", "_mutations",
     )
+
+    #: Evicted-prefix length below which eviction never compacts.
+    _COMPACT = 64
 
     def __init__(self, window: float) -> None:
         if window <= 0:
             raise ValueError("window must be > 0")
         self.window = window
         self._inv_window = 1.0 / window
-        self._samples: deque[tuple[float, float]] = deque()
+        self._t = array("d")  # sample times, nondecreasing
+        self._v = array("d")  # sample values, parallel to _t
+        self._head = 0  # [:head] of both columns is the evicted prefix
+        self._folded = 0  # [:folded] is in the running sums
         self._sum_v = 0.0  # sum of values
         self._sum_t = 0.0  # sum of timestamps
         self._sum_tv = 0.0  # sum of timestamp * value
-        self._mutations = 0  # adds/evicts since the last exact rebuild
+        self._mutations = 0  # folds/evicts since the last exact rebuild
 
     def record(self, t: float, value: float) -> None:
-        self._samples.append((t, value))
-        self._sum_v += value
-        self._sum_t += t
-        self._sum_tv += t * value
-        self._mutations += 1
+        self._t.append(t)
+        self._v.append(value)
+
+    def _fold(self) -> None:
+        """Add the samples recorded since the last fold to the sums."""
+        start = self._folded
+        ts = self._t
+        sum_v, sum_t, sum_tv = self._sum_v, self._sum_t, self._sum_tv
+        for t, v in zip(ts[start:], self._v[start:]):
+            sum_v += v
+            sum_t += t
+            sum_tv += t * v
+        self._sum_v, self._sum_t, self._sum_tv = sum_v, sum_t, sum_tv
+        self._folded = len(ts)
+        self._mutations += len(ts) - start
+
+    def _live(self, now: float) -> int:
+        """Evict at ``now``, fold, and return the number of live samples."""
+        self.evict(now)
+        n = len(self._t)
+        if self._folded < n:
+            self._fold()
+        return n - self._head
 
     def evict(self, now: float) -> None:
         """Drop the samples older than the window at ``now``."""
         cutoff = now - self.window
-        dq = self._samples
-        if not dq or dq[0][0] >= cutoff:
+        ts = self._t
+        head = self._head
+        if head == len(ts) or ts[head] >= cutoff:
             return
-        popleft = dq.popleft
-        while dq and dq[0][0] < cutoff:
-            t, v = popleft()
-            self._sum_v -= v
-            self._sum_t -= t
-            self._sum_tv -= t * v
-            self._mutations += 1
-        if not dq:
+        vs = self._v
+        if ts[-1] < cutoff:  # the window empties: the sums restart at zero
+            del ts[:]
+            del vs[:]
+            self._head = self._folded = 0
             self._sum_v = self._sum_t = self._sum_tv = 0.0
             self._mutations = 0
-        elif self._mutations > (len(dq) << 2) + 64:
+            return
+        if self._folded < len(ts):
+            self._fold()
+        n = len(ts)
+        end = bisect_left(ts, cutoff, head + 1, n - 1)
+        sum_v, sum_t, sum_tv = self._sum_v, self._sum_t, self._sum_tv
+        for t, v in zip(ts[head:end], vs[head:end]):
+            sum_v -= v
+            sum_t -= t
+            sum_tv -= t * v
+        self._sum_v, self._sum_t, self._sum_tv = sum_v, sum_t, sum_tv
+        self._mutations += end - head
+        if end > self._COMPACT and 2 * end > n:
+            del ts[:end]
+            del vs[:end]
+            self._folded = n - end
+            end = 0
+        self._head = end
+        if self._mutations > ((len(ts) - end) << 2) + 64:
             self._rebuild()
 
     def _rebuild(self) -> None:
@@ -87,18 +151,14 @@ class WindowedSamples:
         Bounds the numerical drift of incremental add/subtract: triggered
         every O(len) mutations, so the O(len) pass amortizes to O(1).
         """
-        sum_v = sum_t = sum_tv = 0.0
-        for t, v in self._samples:
-            sum_v += v
-            sum_t += t
-            sum_tv += t * v
-        self._sum_v, self._sum_t, self._sum_tv = sum_v, sum_t, sum_tv
+        self._sum_v = self._sum_t = self._sum_tv = 0.0
+        self._folded = self._head
+        self._fold()
         self._mutations = 0
 
     def weighted_average(self, now: float, default: float = 0.0) -> float:
         """Linearly weighted average of samples within the window (O(1))."""
-        self.evict(now)
-        n = len(self._samples)
+        n = self._live(now)
         if n == 0:
             return default
         base = 1.0 - now * self._inv_window
@@ -113,8 +173,7 @@ class WindowedSamples:
 
     def mean(self, now: float, default: float = 0.0) -> float:
         """Unweighted mean of samples within the window (O(1))."""
-        self.evict(now)
-        n = len(self._samples)
+        n = self._live(now)
         if n == 0:
             return default
         return self._sum_v / n
@@ -122,16 +181,15 @@ class WindowedSamples:
     def values(self, now: float) -> list[float]:
         """Samples currently inside the window (oldest first)."""
         self.evict(now)
-        return [v for _, v in self._samples]
+        return self._v[self._head:].tolist()
 
     def values_array(self, now: float) -> np.ndarray:
-        """:meth:`values` as one float64 array."""
+        """:meth:`values` as one float64 array, a copy the caller owns."""
         self.evict(now)
-        samples = self._samples
-        return np.fromiter(map(_value, samples), float, len(samples))
+        return np.frombuffer(self._v[self._head:], float)
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._t) - self._head
 
 
 class RateMeter:
@@ -187,15 +245,6 @@ class ModuleStats:
         self.arrivals = RateMeter(window)
         self.drops = 0
         self.executed = 0
-
-    def record_arrival(self, t: float) -> None:
-        self.arrivals.record(t)
-
-    def record_queue_delay(self, t: float, delay: float) -> None:
-        self.queue_delays.record(t, delay)
-
-    def record_batch_wait(self, t: float, wait: float) -> None:
-        self.batch_waits.record(t, wait)
 
     def record_batch(self, t: float, size: int) -> None:
         self.batch_sizes.record(t, float(size))

@@ -72,7 +72,7 @@ class TestController:
         ctrl = AdaptivePriorityController(mode=PriorityMode.INSTANT)
         # Saturate: record arrivals far above capacity.
         for i in range(2000):
-            module.stats.record_arrival(i * 0.002)  # 500/s
+            module.stats.arrivals.record(i * 0.002)  # 500/s
         cluster.sim.run(until=0.0)
         assert ctrl.update(module, 4.0) == PriorityMode.HBF
 
@@ -80,7 +80,7 @@ class TestController:
         module, _ = self.make_module()
         ctrl = AdaptivePriorityController(mode=PriorityMode.INSTANT)
         for i in range(20):
-            module.stats.record_arrival(i * 0.2)  # 5/s, capacity ~100/s
+            module.stats.arrivals.record(i * 0.2)  # 5/s, capacity ~100/s
         assert ctrl.update(module, 4.0) == PriorityMode.LBF
 
     def test_effective_load_includes_backlog(self):
