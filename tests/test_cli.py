@@ -528,6 +528,23 @@ class TestScenarioFormats:
         assert "cli-test-Naive-s0" in out
         assert not out.startswith("{")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "name", ["burst_failure", "shared_cluster", "llm_serving"]
+    )
+    def test_artifact_matches_golden(self, capsys, name, fmt):
+        """`scenario run --format csv|json` on the example scenarios is
+        byte-identical to the committed artifacts."""
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        rc = main(["scenario", "run", "--file",
+                   str(root / "examples" / "scenarios" / f"{name}.json"),
+                   "--format", fmt])
+        assert rc == 0
+        golden = root / "benchmarks" / "goldens" / "artifacts" / f"{name}.{fmt}"
+        assert capsys.readouterr().out == golden.read_text()
+
 
 class TestScenarioRender:
     def scenario_file(self, tmp_path):
