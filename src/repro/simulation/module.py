@@ -51,6 +51,9 @@ class Module:
         self.stats = ModuleStats(window=stats_window)
         self._next_worker_id = 0
         self._effective_cache: tuple[float, int, float] = (-1.0, 0, 0.0)
+        # How long an observed batch size stays current: half the host's
+        # sync interval, so the cache scales with the declared time base.
+        self._effective_horizon = 0.5 * cluster.sync_interval
         self._parked: list[Request] = []  # arrivals during a total outage
         # False only when no worker can be draining, letting dispatch()
         # skip the per-request candidate scan (the common case: draining
@@ -163,13 +166,14 @@ class Module:
         synchronises: under light load actual batches run smaller than the
         planned maximum, and estimating d_k at the planned size would
         overstate both the current and downstream execution durations.
-        Cached for 0.5 s — the paper refreshes it on sync ticks.  The
-        profiled duration at that size is cached alongside it (it is a
-        pure function of the batch size, and the pair is consulted once
-        per drawn request).
+        Cached for half the cluster's ``sync_interval``, so a value is at
+        most half a sync old and no time scale the spec does not declare
+        enters the decision.  The profiled duration at that size is cached
+        alongside it (it is a pure function of the batch size, and the
+        pair is consulted once per drawn request).
         """
         cached_at, cached, _ = self._effective_cache
-        if now - cached_at < 0.5 and cached > 0:
+        if now - cached_at < self._effective_horizon and cached > 0:
             return cached
         avg = self.stats.avg_batch_size(now, default=float(self.target_batch))
         value = max(1, min(self.target_batch, round(avg)))
@@ -179,7 +183,7 @@ class Module:
     def effective_duration(self, now: float) -> float:
         """d_k at the recently observed batch size."""
         cached_at, cached, duration = self._effective_cache
-        if now - cached_at < 0.5 and cached > 0:
+        if now - cached_at < self._effective_horizon and cached > 0:
             return duration
         self.effective_batch(now)
         return self._effective_cache[2]
