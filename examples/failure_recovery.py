@@ -24,6 +24,7 @@ from dataclasses import replace
 from repro import Scenario, run_scenario
 from repro.experiments import AppSpec, TraceSpec
 from repro.metrics import drop_rate_series
+from repro.metrics.export import fault_table, render_console
 from repro.simulation import FailureEvent
 
 SCENARIO = Scenario(
@@ -51,8 +52,7 @@ def main() -> None:
         print(f"  wasted GPU time    {summary.invalid_rate:8.2%}")
         print(f"  drops during outage  {max(outage):8.2%} (peak 3s window)")
         print(f"  drops after recovery {max(after):8.2%} (peak 3s window)")
-        for line in result.failure_log:
-            print(f"    {line}")
+        print(render_console([fault_table(result.fault_records)]))
         print()
 
 

@@ -48,14 +48,12 @@ from .experiments.sweep import (
     summary_table,
     sweep_grid,
 )
-from .metrics.export import Artifact, multi_result_tables, scenario_result_tables
-from .metrics.report import (
-    comparison_table,
-    goodput_table,
-    per_app_drop_table,
-    per_app_table,
-    per_module_drop_table,
-    policy_descriptions,
+from .metrics.export import (
+    Artifact,
+    TableData,
+    multi_result_tables,
+    render_console,
+    scenario_result_tables,
 )
 from .pipeline.applications import get_application, known_applications
 from .pipeline.llm_profiles import is_llm_application
@@ -94,41 +92,38 @@ def _scenario(args: argparse.Namespace, policy: str) -> Scenario:
 def cmd_run(args: argparse.Namespace) -> int:
     _check_policies([args.policy])
     scenario = _scenario(args, args.policy)
-    result = run_scenario(scenario)
-    _print_results(scenario.label(), {result.policy_name: result},
-                   args.markdown)
+    _print_results(scenario.label(), [run_scenario(scenario)], args.markdown)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     names = _csv(args.policies) or list(SYSTEM_FACTORIES)
     _check_policies(names)
-    results = {name: run_scenario(_scenario(args, name)) for name in names}
+    results = [run_scenario(_scenario(args, name)) for name in names]
     _print_results(f"{args.app}-{args.trace}-s{args.seed}", results,
                    args.markdown)
     return 0
 
 
 def _print_results(
-    label: str, results: dict[str, ExperimentResult], markdown: bool
+    label: str, results: list[ExperimentResult], markdown: bool
 ) -> None:
-    """The console report of single-cluster runs of one workload."""
-    trace = next(iter(results.values())).trace
+    """The console report of single-cluster runs of one workload.
+
+    The tables, then one describe line per policy: result tables key on
+    the policy label, and the describe line spells out the knob values
+    behind it, so two parameterized variants of one system stay
+    distinguishable.
+    """
+    trace = results[0].trace
     print(f"scenario {label}: trace {trace.name} "
           f"({trace.mean_rate:.0f} req/s mean, {trace.duration:.0f}s)")
-    print(comparison_table(results, markdown=markdown))
+    print(render_console(scenario_result_tables(*results), markdown=markdown))
     print()
-    print(per_module_drop_table(results, markdown=markdown))
-    reports = {name: r.goodput for name, r in results.items()
-               if r.goodput is not None}
-    if reports:
-        print("\ngoodput under declared SLO constraints:")
-        print(goodput_table(reports, markdown=markdown))
-    print()
-    print(policy_descriptions(results))
-    for result in results.values():
-        for line in result.failure_log:
-            print(f"  {line}")
+    for result in results:
+        desc = result.cluster.policy.describe()
+        name = result.policy_name
+        print(desc if desc.startswith(name) else f"{name}: {desc}")
 
 
 def _csv(text: str) -> list[str]:
@@ -224,7 +219,7 @@ def _run_cells(cells, args: argparse.Namespace) -> int:
                 f"{args.cache_dir}",
                 file=sys.stderr,
             )
-    print(summary_table(results, markdown=args.markdown))
+    print(render_console([summary_table(results)], markdown=args.markdown))
     failures = [r for r in results if not r.ok]
     for r in failures:
         print(f"\n--- {r.cell.label()} failed ---\n{r.error}", file=sys.stderr)
@@ -257,8 +252,7 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
             f"{args.file} declares sweep axes; run it with "
             "`repro scenario sweep --file ...`"
         )
-    fmt = getattr(args, "format", "table")
-    markdown = args.markdown or fmt == "md"
+    fmt = args.format
     if isinstance(scenario, MultiScenario):
         result = run_multi_scenario(scenario)
         if fmt in ("csv", "json"):
@@ -267,24 +261,14 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
         pools = ", ".join(result.pool_ids)
         print(f"shared cluster {scenario.label()}: "
               f"{len(scenario.tenants)} apps over pools [{pools}]")
-        print(per_app_table(result.summaries, markdown=markdown))
-        print()
-        print(per_app_drop_table(result, markdown=markdown))
-        reports = {k: v for k, v in result.goodputs.items() if v is not None}
-        if reports:
-            print("\ngoodput under declared SLO constraints:")
-            print(goodput_table(reports, markdown=markdown))
-        agg = result.aggregate
-        print(f"\naggregate: goodput {agg.goodput:.1f}/s "
-              f"drop {agg.drop_rate:.2%} invalid {agg.invalid_rate:.2%}")
-        for line in result.failure_log:
-            print(f"  {line}")
+        print(render_console(multi_result_tables(result),
+                             markdown=fmt == "md"))
         return 0
     result = run_scenario(scenario)
     if fmt in ("csv", "json"):
         _write_result_artifact(scenario, scenario_result_tables(result), fmt)
         return 0
-    _print_results(scenario.label(), {result.policy_name: result}, markdown)
+    _print_results(scenario.label(), [result], markdown=fmt == "md")
     return 0
 
 
@@ -434,18 +418,20 @@ def cmd_list(args: argparse.Namespace) -> int:
     if args.llm:
         # One row per application with its profile kind: "llm" when any
         # module resolves to a token-cost LLMProfile, "fixed" otherwise.
-        from .metrics.report import format_table
-
         rows = []
         for name in known_applications():
             try:
                 app = get_application(name)
             except (KeyError, ValueError):
-                rows.append([name, "?", "-"])
+                rows.append((name, "?", None))
                 continue
             kind = "llm" if is_llm_application(app) else "fixed"
-            rows.append([name, kind, str(len(app.spec.modules))])
-        print(format_table(["application", "profile kind", "modules"], rows))
+            rows.append((name, kind, len(app.spec.modules)))
+        print(render_console([TableData(
+            name="applications",
+            columns=("application", "profile_kind", "modules"),
+            rows=tuple(rows),
+        )]))
     else:
         print("applications:", ", ".join(known_applications()))
     print("traces:      ", ", ".join(known_traces()))
@@ -516,11 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn_run = scn_sub.add_parser("run", help="run one scenario in-process")
     p_scn_run.add_argument("--file", required=True,
                            help="path to a scenario JSON file")
-    p_scn_run.add_argument("--markdown", action="store_true")
     p_scn_run.add_argument(
         "--format", choices=("table", "md", "csv", "json"), default="table",
-        help="summary output format (default: the classic text tables; "
-             "csv/json emit a structured artifact on stdout)",
+        help="report format: aligned text tables (default), markdown "
+             "tables, or the same tables as a CSV or JSON artifact on "
+             "stdout",
     )
     p_scn_run.set_defaults(fn=cmd_scenario_run)
 

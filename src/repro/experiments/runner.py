@@ -180,9 +180,7 @@ class ExperimentResult:
     #: The trace base rate replayed (calibrated when the scenario sets
     #: ``utilization``).
     base_rate: float
-    failure_log: list[str] = field(default_factory=list)
-    #: Structured fault timeline (the source of ``failure_log``'s rendered
-    #: strings), exportable via ``repro.metrics.export.fault_table``.
+    #: Fault timeline, exportable via ``repro.metrics.export.fault_table``.
     fault_records: list = field(default_factory=list)
     #: Goodput-under-constraints report; None unless the scenario
     #: declared token-level SLO constraints.
@@ -293,7 +291,6 @@ def run_scenario(scenario: Scenario, lean: bool = False) -> ExperimentResult:
         cluster=cluster,
         trace=trace,
         base_rate=base_rate,
-        failure_log=list(injector.log) if injector is not None else [],
         fault_records=list(injector.records) if injector is not None else [],
         goodput=goodput_report(cluster.metrics, duration=trace.duration),
     )
@@ -314,8 +311,7 @@ class MultiResult:
     aggregate: Summary
     cluster: SharedCluster
     traces: dict[str, ArrivalSource]
-    failure_log: list[str] = field(default_factory=list)
-    #: Structured fault timeline (the source of ``failure_log``).
+    #: Fault timeline, exportable via ``repro.metrics.export.fault_table``.
     fault_records: list = field(default_factory=list)
     #: Per-app goodput-under-constraints reports, keyed like ``summaries``;
     #: tenants without declared constraints map to None.
@@ -457,7 +453,6 @@ def run_multi_scenario(multi: MultiScenario, lean: bool = False) -> MultiResult:
         aggregate=aggregate,
         cluster=cluster,
         traces=traces,
-        failure_log=list(injector.log) if injector is not None else [],
         fault_records=list(injector.records) if injector is not None else [],
         goodputs=goodputs,
     )

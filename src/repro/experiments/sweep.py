@@ -47,6 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..metrics.analysis import Summary
 from ..metrics.collector import MetricsCollector
+from ..metrics.export import TableData
 from ..metrics.goodput import GoodputReport, goodput_report
 from .configs import standard_scenario
 from .runner import run_multi_scenario, run_scenario
@@ -678,45 +679,29 @@ def load_scenario_cells(path: str | os.PathLike) -> list[SweepCell]:
     return scenario_cells(bases)
 
 
-def summary_table(results: Sequence[CellResult], markdown: bool = False) -> str:
-    """Render sweep results as an aligned text (or markdown) table."""
-    header = ["cell", "status", "goodput/s", "drop", "invalid", "time"]
-    rows: list[list[str]] = []
+def summary_table(results: Sequence[CellResult]) -> TableData:
+    """Sweep results as one console table (see ``render_console``).
+
+    It carries each cell's status and elapsed time, so it is for the
+    console only: ``--save-summaries`` writes :func:`summaries_text`.
+    Shared-cluster cells get one ``- app`` row per tenant under the
+    aggregate; a failed cell shows ``ERROR`` (its error goes to stderr).
+    """
+    rows = []
     for r in results:
-        if r.ok and r.summary is not None:
-            s = r.summary
-            rows.append([
-                r.cell.label(),
-                "cached" if r.cached else "ok",
-                f"{s.goodput:.1f}",
-                f"{s.drop_rate:.2%}",
-                f"{s.invalid_rate:.2%}",
-                f"{r.elapsed:.1f}s",
-            ])
-            # Shared-cluster cells: one indented row per tenant app under
-            # the aggregate, so sweeps surface the per-app breakdown too.
-            for app, app_summary in (r.per_app or {}).items():
-                rows.append([
-                    f"  - {app}",
-                    "app",
-                    f"{app_summary.goodput:.1f}",
-                    f"{app_summary.drop_rate:.2%}",
-                    f"{app_summary.invalid_rate:.2%}",
-                    "",
-                ])
-        else:
-            first_line = (r.error or "").strip().splitlines()[-1:] or ["?"]
-            rows.append([r.cell.label(), "ERROR", "-", "-", "-", first_line[0][:40]])
-    widths = [max(len(header[c]), *(len(row[c]) for row in rows))
-              for c in range(len(header))] if rows else [len(h) for h in header]
-    sep = " | " if markdown else "  "
-
-    def fmt(row: list[str]) -> str:
-        line = sep.join(cell.ljust(widths[c]) for c, cell in enumerate(row))
-        return f"| {line} |" if markdown else line
-
-    lines = [fmt(header)]
-    if markdown:
-        lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
+        if not r.ok or r.summary is None:
+            rows.append((r.cell.label(), "ERROR", None, None, None, r.elapsed))
+            continue
+        s = r.summary
+        rows.append((r.cell.label(), "cached" if r.cached else "ok",
+                     s.goodput, s.drop_rate, s.invalid_rate, r.elapsed))
+        for app, a in (r.per_app or {}).items():
+            rows.append((f"- {app}", "app", a.goodput, a.drop_rate,
+                         a.invalid_rate, None))
+    return TableData(
+        name="sweep",
+        columns=("cell", "status", "goodput", "drop_rate", "invalid_rate",
+                 "elapsed_s"),
+        rows=tuple(rows),
+        formats=(None, None, ".1f", ".2%", ".2%", ".1f"),
+    )

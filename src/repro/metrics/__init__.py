@@ -19,15 +19,6 @@ from .analysis import (
 )
 from .collector import MetricsCollector, RequestRecord, VisitRecord
 from .goodput import GoodputReport, GoodputSpec, goodput_report
-from .report import (
-    comparison_table,
-    format_table,
-    goodput_table,
-    pct,
-    per_app_drop_table,
-    per_app_table,
-    per_module_drop_table,
-)
 
 __all__ = [
     "GoodputReport",
@@ -50,12 +41,5 @@ __all__ = [
     "per_app_summaries",
     "slo_attainment_curve",
     "summarize",
-    "comparison_table",
-    "format_table",
     "goodput_report",
-    "goodput_table",
-    "pct",
-    "per_app_drop_table",
-    "per_app_table",
-    "per_module_drop_table",
 ]

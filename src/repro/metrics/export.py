@@ -1,17 +1,19 @@
-"""Exporter layer: tabular results as console text, CSV and JSON artifacts.
+"""Exporter layer: every result table as console text, markdown, CSV or JSON.
 
 The genai-perf ``console_exporter`` shape applied to this harness: a result
-is a list of :class:`TableData` (plain columns + scalar rows) wrapped in an
-:class:`Artifact`, and every output format renders from that one source.
-The renderers are **byte-stable**: output is a pure function of the table
-values — no timestamps, no cache/timing bookkeeping, floats serialized via
-their shortest round-trip ``repr`` — so the same study run serially, in a
-process pool or from cache exports bit-identical artifacts, and committed
-goldens can gate them in CI.
+is a list of :class:`TableData` (plain columns + scalar rows), optionally
+wrapped in an :class:`Artifact`, and every output format renders from that
+one source.  :func:`render_console` is the only code that prints a table,
+so a table is built once and reaches the console, markdown, CSV and JSON
+alike.  The CSV and JSON renderers are **byte-stable**: output is a pure
+function of the table values — no timestamps, no cache/timing bookkeeping,
+floats serialized via their shortest round-trip ``repr`` — so the same
+study run serially, in a process pool or from cache exports bit-identical
+artifacts, and committed goldens can gate them in CI.
 
-Consumed by :mod:`repro.studies` (interference/capacity artifacts) and by
-``repro scenario run --format csv|json`` (the structured form of the
-existing summary tables).
+Consumed by the CLI's reports (``repro run``, ``compare``, ``scenario
+run``, ``sweep``, ``scenario sweep``, ``list --llm``), by
+``repro scenario run --format csv|json`` and by :mod:`repro.studies`.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .analysis import drops_per_module
-from .report import format_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..experiments.runner import ExperimentResult, MultiResult
@@ -32,6 +33,7 @@ __all__ = [
     "TableData",
     "cell_text",
     "fault_table",
+    "goodput_table",
     "multi_result_tables",
     "render_console",
     "render_csv",
@@ -120,17 +122,33 @@ def _csv_cell(value: Any) -> str:
     return text
 
 
+def _format_table(
+    headers: Sequence[str], rows: Sequence[Sequence[str]], markdown: bool
+) -> str:
+    """Right-aligned text columns, or a markdown table."""
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    if not markdown:
+        return "\n".join(
+            "  ".join(c.rjust(w) for c, w in zip(cells, widths)).rstrip()
+            for cells in (headers, *rows)
+        )
+
+    def line(cells: Sequence[str]) -> str:
+        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
+
+    rule = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
+    return "\n".join([line(headers), rule, *map(line, rows)])
+
+
 def render_console(
     tables: Sequence[TableData], markdown: bool = False
 ) -> str:
     """All tables as aligned text (or markdown), one titled block each."""
-    blocks = []
-    for table in tables:
-        header = f"{table.name}:"
-        body = format_table(table.columns, table.display_rows(),
-                           markdown=markdown)
-        blocks.append(f"{header}\n{body}")
-    return "\n\n".join(blocks)
+    return "\n\n".join(
+        f"{table.name}:\n"
+        + _format_table(table.columns, table.display_rows(), markdown)
+        for table in tables
+    )
 
 
 def render_csv(tables: Sequence[TableData]) -> str:
@@ -212,7 +230,40 @@ def _summary_cells(summary) -> tuple:
             summary.good, summary.total)
 
 
-def _goodput_table(reports: dict) -> TableData:
+def _summary_table(name: str, key: str, summaries: Mapping) -> TableData:
+    """One :class:`~repro.metrics.analysis.Summary` row per label."""
+    return TableData(
+        name=name,
+        columns=(key, *_SUMMARY_COLUMNS),
+        rows=tuple((label, *_summary_cells(s)) for label, s in summaries.items()),
+        formats=(None, *_SUMMARY_FORMATS),
+    )
+
+
+def _drop_table(
+    name: str, key: str, module_ids: Sequence[str], collectors: Mapping
+) -> TableData:
+    """Share of each label's explicit drops at each module (or pool)."""
+    rows = []
+    for label, collector in collectors.items():
+        shares = drops_per_module(collector, module_ids)
+        rows.append((label, *(shares[m] for m in module_ids)))
+    return TableData(
+        name=name,
+        columns=(key, *module_ids),
+        rows=tuple(rows),
+        formats=(None, *(".2%",) * len(module_ids)),
+    )
+
+
+def goodput_table(reports: Mapping) -> TableData:
+    """Goodput under the declared constraints, one row per label.
+
+    ``reports`` maps a policy or app label to its
+    :class:`~repro.metrics.goodput.GoodputReport`.  Every ``*_met`` column
+    is shown; a constraint a row does not declare counts every completion
+    as meeting it.
+    """
     rows = []
     for label, r in reports.items():
         rows.append((label, r.good, r.completed, r.total, r.good_fraction,
@@ -229,11 +280,10 @@ def _goodput_table(reports: dict) -> TableData:
 
 
 def fault_table(records) -> TableData:
-    """Structured fault timeline as one exportable table.
+    """The fault timeline as one table.
 
     ``records`` are the injector's
-    :class:`~repro.simulation.failures.FaultRecord` list — the typed form
-    behind the legacy rendered ``failure_log`` strings.
+    :class:`~repro.simulation.failures.FaultRecord` list.
     """
     return TableData(
         name="faults",
@@ -245,58 +295,39 @@ def fault_table(records) -> TableData:
     )
 
 
-def scenario_result_tables(result: "ExperimentResult") -> list[TableData]:
-    """The structured form of ``repro scenario run``'s single-app report."""
+def scenario_result_tables(*results: "ExperimentResult") -> list[TableData]:
+    """The single-cluster report, one row per result in each table.
+
+    ``repro scenario run`` passes one result and ``repro compare`` one per
+    policy, all on the same app.  The fault timelines are concatenated in
+    result order.
+    """
     tables = [
-        TableData(
-            name="summary",
-            columns=("policy", *_SUMMARY_COLUMNS),
-            rows=((result.policy_name, *_summary_cells(result.summary)),),
-            formats=(None, *_SUMMARY_FORMATS),
-        )
+        _summary_table("summary", "policy",
+                       {r.policy_name: r.summary for r in results}),
+        _drop_table("module_drops", "policy", results[0].module_ids,
+                    {r.policy_name: r.collector for r in results}),
     ]
-    module_ids = list(result.module_ids)
-    shares = drops_per_module(result.collector, module_ids)
-    tables.append(TableData(
-        name="module_drops",
-        columns=("policy", *module_ids),
-        rows=((result.policy_name, *(shares[m] for m in module_ids)),),
-        formats=(None, *(".2%",) * len(module_ids)),
-    ))
-    if result.goodput is not None:
-        tables.append(_goodput_table({result.policy_name: result.goodput}))
-    if result.fault_records:
-        tables.append(fault_table(result.fault_records))
+    reports = {r.policy_name: r.goodput for r in results
+               if r.goodput is not None}
+    if reports:
+        tables.append(goodput_table(reports))
+    records = [record for r in results for record in r.fault_records]
+    if records:
+        tables.append(fault_table(records))
     return tables
 
 
 def multi_result_tables(result: "MultiResult") -> list[TableData]:
-    """The structured form of the shared-cluster (multi-tenant) report."""
+    """The shared-cluster (multi-tenant) report."""
     tables = [
-        TableData(
-            name="per_app",
-            columns=("app", *_SUMMARY_COLUMNS),
-            rows=tuple(
-                (label, *_summary_cells(s))
-                for label, s in result.summaries.items()
-            ),
-            formats=(None, *_SUMMARY_FORMATS),
-        )
+        _summary_table("per_app", "app", result.summaries),
+        _drop_table("per_app_drops", "app", result.pool_ids,
+                    result.collectors),
     ]
-    pool_ids = list(result.pool_ids)
-    drop_rows = []
-    for label, collector in result.collectors.items():
-        shares = drops_per_module(collector, pool_ids)
-        drop_rows.append((label, *(shares[p] for p in pool_ids)))
-    tables.append(TableData(
-        name="per_app_drops",
-        columns=("app", *pool_ids),
-        rows=tuple(drop_rows),
-        formats=(None, *(".2%",) * len(pool_ids)),
-    ))
     reports = {k: v for k, v in result.goodputs.items() if v is not None}
     if reports:
-        tables.append(_goodput_table(reports))
+        tables.append(goodput_table(reports))
     tables.append(TableData(
         name="aggregate",
         columns=_SUMMARY_COLUMNS,

@@ -17,9 +17,8 @@ typed :class:`FailureEvent`\\ s to a cluster:
   late rather than never — a partitioned branch delays its join, it
   does not deadlock it.
 
-Every action is recorded as a structured :class:`FaultRecord`; the
-legacy string log is rendered from the records, byte-identical to the
-old format for worker kills.
+Every action is recorded as a :class:`FaultRecord`; reports show them
+as the ``faults`` table (:func:`repro.metrics.export.fault_table`).
 """
 
 from __future__ import annotations
@@ -89,40 +88,6 @@ class FaultRecord:
     count: int  # workers affected / handoffs replayed
     factor: float | None = None  # degrade only
 
-    def render(self) -> str:
-        """The human-readable log line (legacy format for kills)."""
-        if self.kind == "fail":
-            return f"t={self.time:.2f}s fail {self.target} -{self.count} worker(s)"
-        if self.kind == "recover":
-            return (
-                f"t={self.time:.2f}s recover {self.target} "
-                f"+{self.count} worker(s)"
-            )
-        if self.kind == "degrade":
-            return (
-                f"t={self.time:.2f}s degrade {self.target} "
-                f"x{self.factor:g} {self.count} worker(s)"
-            )
-        if self.kind == "restore":
-            return (
-                f"t={self.time:.2f}s restore {self.target} "
-                f"{self.count} worker(s)"
-            )
-        if self.kind == "cut":
-            return f"t={self.time:.2f}s cut {self.target}"
-        return f"t={self.time:.2f}s heal {self.target} +{self.count} handoff(s)"
-
-    def to_dict(self) -> dict:
-        out = {
-            "time": self.time,
-            "kind": self.kind,
-            "target": self.target,
-            "count": self.count,
-        }
-        if self.factor is not None:
-            out["factor"] = self.factor
-        return out
-
 
 @dataclass
 class FailureInjector:
@@ -131,11 +96,6 @@ class FailureInjector:
     cluster: Cluster
     events: list[FailureEvent] = dataclasses.field(default_factory=list)
     records: list[FaultRecord] = dataclasses.field(default_factory=list)
-
-    @property
-    def log(self) -> list[str]:
-        """The fault timeline rendered to the legacy string format."""
-        return [r.render() for r in self.records]
 
     def schedule_all(self) -> None:
         """Arm every fault event on the cluster's simulator."""

@@ -417,7 +417,9 @@ class TestExecution:
         )
         result = run_multi_scenario(ms)
         assert len(result.pool_ids) == 1  # both apps on one pool
-        assert any("fail shared_m" in line for line in result.failure_log)
+        assert ("fail", "shared_m") in [
+            (r.kind, r.target) for r in result.fault_records
+        ]
         # The overloaded shared pool cannot serve the victim cleanly.
         assert result.summaries["victim"].drop_rate > 0.05
 

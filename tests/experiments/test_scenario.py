@@ -734,9 +734,9 @@ class TestExecution:
     def test_run_scenario_executes_failures(self):
         result = run_scenario(full_scenario())
         assert result.summary.total == result.trace.count()
-        assert len(result.failure_log) == 4  # two fails + two recoveries
-        assert any("fail m1" in line for line in result.failure_log)
-        assert any("recover m2" in line for line in result.failure_log)
+        faults = [(r.kind, r.target) for r in result.fault_records]
+        assert len(faults) == 4  # two fails + two recoveries
+        assert ("fail", "m1") in faults and ("recover", "m2") in faults
 
     def test_scaling_spec_defaults_match_reactive_scaler(self):
         """ScalingSpec mirrors ReactiveScaler's knobs; a drifting default

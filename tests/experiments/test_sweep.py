@@ -17,6 +17,7 @@ from repro.experiments.sweep import (
     summary_table,
     sweep_grid,
 )
+from repro.metrics.export import render_console
 
 
 def tiny_scenario(policy: str = "Naive", seed: int = 0) -> Scenario:
@@ -274,7 +275,10 @@ class TestEventsAndTable:
         results = run_sweep(tiny_cells(policies=("Naive", "NoSuchPolicy")),
                             workers=1)
         table = summary_table(results)
-        assert "tm-tweet-Naive-s0" in table
-        assert "ERROR" in table
-        md = summary_table(results, markdown=True)
-        assert md.splitlines()[1].startswith("|-")
+        assert [row[:2] for row in table.rows] == [
+            ("tm-tweet-Naive-s0", "ok"), ("tm-tweet-NoSuchPolicy-s0", "ERROR"),
+        ]
+        text = render_console([table])
+        assert "tm-tweet-Naive-s0" in text and "ERROR" in text
+        md = render_console([table], markdown=True)
+        assert md.splitlines()[2].startswith("|-")

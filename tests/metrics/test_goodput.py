@@ -15,7 +15,7 @@ from repro.metrics.goodput import (
     goodput_report,
     is_good,
 )
-from repro.metrics.report import goodput_table
+from repro.metrics.export import goodput_table, render_console
 from repro.simulation.request import RequestStatus
 
 
@@ -186,25 +186,25 @@ class TestMerge:
 
 
 class TestTable:
-    def test_table_shows_only_declared_constraint_columns(self):
+    def test_table_shows_every_met_count(self):
         collector = MetricsCollector(goodput=GoodputSpec(ttft=0.5, e2e=2.0))
         for r in _requests():
             collector.record_request(r)
         report = goodput_report(collector, duration=2.0)
-        text = goodput_table({"chat": report})
-        assert "ttft met" in text and "e2e met" in text
-        assert "tpot met" not in text
-        assert "@0.5s" in text and "@2s" in text
-
-    def test_table_filters_none_and_rejects_empty(self):
-        with pytest.raises(ValueError):
-            goodput_table({"a": None})
+        table = goodput_table({"chat": report})
+        assert table.columns[-3:] == ("ttft_met", "tpot_met", "e2e_met")
+        (row,) = table.rows
+        assert row[0] == "chat"
+        assert row[-3:] == (report.ttft_met, report.tpot_met, report.e2e_met)
+        # An undeclared constraint counts every completion as met.
+        assert report.tpot_met == report.completed
 
     def test_markdown_table(self):
         collector = MetricsCollector(goodput=SPEC)
         for r in _requests():
             collector.record_request(r)
-        text = goodput_table(
-            {"x": goodput_report(collector, duration=2.0)}, markdown=True
+        text = render_console(
+            [goodput_table({"x": goodput_report(collector, duration=2.0)})],
+            markdown=True,
         )
-        assert text.startswith("|")
+        assert text.startswith("goodput:\n|")

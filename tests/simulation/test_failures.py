@@ -71,28 +71,15 @@ class TestFailureEvent:
 
 
 class TestFaultRecords:
-    def test_kill_records_render_the_legacy_log(self):
+    def test_kill_records_the_fail_and_the_recovery(self):
         cluster, injector = run_with_failures(
             NaivePolicy(),
             [FailureEvent(time=3.0, module_id="m1", workers=1, downtime=2.0)],
         )
-        assert [type(r) for r in injector.records] == [FaultRecord] * 2
-        assert injector.log == [
-            "t=3.00s fail m1 -1 worker(s)",
-            "t=5.00s recover m1 +1 worker(s)",
+        assert injector.records == [
+            FaultRecord(time=3.0, kind="fail", target="m1", count=1),
+            FaultRecord(time=5.0, kind="recover", target="m1", count=1),
         ]
-
-    def test_records_export_as_plain_data(self):
-        record = FaultRecord(time=2.0, kind="degrade", target="m1",
-                             count=1, factor=2.5)
-        assert record.to_dict() == {
-            "time": 2.0, "kind": "degrade", "target": "m1", "count": 1,
-            "factor": 2.5,
-        }
-        assert FaultRecord(time=1.0, kind="cut", target="m1->m2",
-                           count=0).to_dict() == {
-            "time": 1.0, "kind": "cut", "target": "m1->m2", "count": 0,
-        }
 
 
 class TestInjection:
@@ -102,9 +89,7 @@ class TestInjection:
             [FailureEvent(time=3.0, module_id="m1", workers=1, downtime=2.0)],
         )
         assert cluster.modules["m1"].n_workers == 2  # recovered
-        assert len(injector.log) == 2
-        assert "fail" in injector.log[0]
-        assert "recover" in injector.log[1]
+        assert [r.kind for r in injector.records] == ["fail", "recover"]
 
     def test_no_requests_lost(self):
         cluster, _ = run_with_failures(
@@ -256,9 +241,9 @@ class TestLastWorkerKill:
             r.status is RequestStatus.COMPLETED
             for r in cluster.metrics.records
         )
-        assert injector.log == [
-            "t=1.00s fail m1 -1 worker(s)",
-            "t=2.00s recover m1 +1 worker(s)",
+        assert injector.records == [
+            FaultRecord(time=1.0, kind="fail", target="m1", count=1),
+            FaultRecord(time=2.0, kind="recover", target="m1", count=1),
         ]
 
 
@@ -288,9 +273,10 @@ class TestDegrade:
         assert all(lat_slow[t] == lat_clean[t] for t in after)
         worker = slow.modules["m1"].workers[0]
         assert worker.degrade_factor == 1.0
-        assert injector.log == [
-            "t=1.00s degrade m1 x4 1 worker(s)",
-            "t=3.00s restore m1 1 worker(s)",
+        assert injector.records == [
+            FaultRecord(time=1.0, kind="degrade", target="m1", count=1,
+                        factor=4.0),
+            FaultRecord(time=3.0, kind="restore", target="m1", count=1),
         ]
 
     def test_no_request_is_lost_to_a_straggler(self):

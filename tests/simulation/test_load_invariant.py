@@ -168,7 +168,7 @@ def test_faults(audit, fault):
         "tm", "PARD", failures=[{"time": 1.2, "downtime": 0.8, **fault}],
     )
     result = run_scenario(scenario, lean=True)
-    assert result.failure_log
+    assert result.fault_records
 
 
 @pytest.mark.parametrize("hop, counter", [

@@ -222,7 +222,9 @@ class TestFailuresAndScaling:
             cluster.submit_at("a", 0.01 * i)
             cluster.submit_at("b", 0.01 * i)
         sim.run()
-        assert any("fail alpha" in line for line in injector.log)
+        assert ("fail", "alpha") in [
+            (r.kind, r.target) for r in injector.records
+        ]
         assert cluster.pools["alpha"].n_workers == 2  # recovered
         total = (len(cluster.views["a"].metrics.records)
                  + len(cluster.views["b"].metrics.records))

@@ -107,6 +107,54 @@ class TestRenderers:
         assert render_console(tables) == render_console(tables)
 
 
+class TestConsole:
+    def test_plain_alignment(self):
+        table = TableData(name="t", columns=("a", "bbb"),
+                          rows=(("1", "2"), ("333", "4")))
+        lines = render_console([table]).splitlines()
+        assert lines[0] == "t:"
+        assert len(lines) == 4
+        # All lines of the body equal width, cells right-aligned.
+        assert len({len(line) for line in lines[1:]}) == 1
+        assert lines[2].startswith("  1")
+
+    def test_markdown_structure(self):
+        table = TableData(name="t", columns=("x", "y"), rows=(("1", "2"),))
+        lines = render_console([table], markdown=True).splitlines()
+        assert lines[1].startswith("| x")
+        assert set(lines[2]) <= {"|", "-"}
+        assert lines[3].startswith("| 1")
+
+    def test_empty_rows_ok(self):
+        assert render_console([TableData(name="t", columns=("a",))]) == "t:\na"
+
+    def test_empty_trailing_cell_leaves_no_trailing_space(self):
+        table = TableData(name="t", columns=("a", "b"), rows=(("x", None),))
+        assert render_console([table]) == "t:\na  b\nx"
+
+
+class TestResultTables:
+    def test_one_row_per_policy(self):
+        from repro.experiments.runner import run_scenario
+        from repro.experiments.scenario import Scenario
+        from repro.metrics.export import scenario_result_tables
+
+        results = [run_scenario(Scenario(
+            app={"name": "tm"}, policy=policy, workers=1,
+            trace={"name": "tweet", "base_rate": 20, "duration": 5.0},
+        )) for policy in ("Naive", "Nexus")]
+        tables = {t.name: t for t in scenario_result_tables(*results)}
+        assert list(tables) == ["summary", "module_drops"]
+        assert [r[0] for r in tables["summary"].rows] == ["Naive", "Nexus"]
+        drops = tables["module_drops"]
+        assert drops.columns == ("policy", *results[0].module_ids)
+        assert [r[0] for r in drops.rows] == ["Naive", "Nexus"]
+        text = render_console(list(tables.values()))
+        assert "drop_rate" in text and "%" in text  # shares shown as percent
+        md = render_console(list(tables.values()), markdown=True)
+        assert md.startswith("summary:\n| policy")
+
+
 class TestArtifact:
     def test_needs_a_name(self):
         with pytest.raises(ValueError, match="name"):
