@@ -11,14 +11,17 @@ untouched.
 Each case also checks that it reached the path it exists for, as far as
 records, telemetry or the fault log can show it: preemption, shared
 decode iterations in block mode, a kill that strands a running batch
-next to a straggler, and a hop timeout that drops sequences
-mid-generation.
+next to a straggler, a hop timeout that drops sequences
+mid-generation, and two LLM branches of one DAG that stream the same
+request at once while a drop at one branch hits a request the other is
+decoding.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -27,6 +30,8 @@ import pytest
 from repro.experiments.runner import run_multi_scenario, run_scenario
 from repro.experiments.scenario import MultiScenario, Scenario
 from repro.metrics.collector import MetricsCollector
+from repro.pipeline.llm_profiles import LLMProfile
+from repro.simulation.cluster import Cluster
 from repro.simulation.failures import FailureInjector
 from repro.simulation.llm import LLMWorker
 from repro.simulation.request import DropReason, RequestStatus
@@ -93,6 +98,53 @@ def stranded(monkeypatch) -> list[int]:
         strand(self, worker)
 
     monkeypatch.setattr(FailureInjector, "_strand", counted)
+    return seen
+
+
+def decoding(cluster: Cluster, request) -> list[str]:
+    """The LLM modules with a worker whose running set holds ``request``."""
+    return [
+        mid for mid, module in cluster.modules.items()
+        for worker in module.workers
+        if isinstance(worker, LLMWorker)
+        and any(r is request for r in worker._running)
+    ]
+
+
+@pytest.fixture
+def decoding_drops(monkeypatch) -> list[tuple[str, DropReason, str]]:
+    """(drop module, reason, decoding module) for each drop that hit a
+    request an LLM worker was running."""
+    seen: list[tuple[str, DropReason, str]] = []
+    drop = Cluster.drop
+
+    def spied(self, request, module_id, reason) -> None:
+        if request.status is RequestStatus.IN_FLIGHT:
+            seen.extend(
+                (module_id, reason, mid) for mid in decoding(self, request)
+            )
+        drop(self, request, module_id, reason)
+
+    monkeypatch.setattr(Cluster, "drop", spied)
+    return seen
+
+
+@pytest.fixture
+def streamed_at_once(monkeypatch) -> list[tuple[str, str]]:
+    """(finishing module, still-decoding module) for each LLM hop that
+    finished a request another LLM worker was still running."""
+    seen: list[tuple[str, str]] = []
+    done = Cluster.on_module_done
+
+    def spied(self, request, module) -> None:
+        if isinstance(module.profile, LLMProfile):
+            seen.extend(
+                (module.spec.id, mid) for mid in decoding(self, request)
+                if mid != module.spec.id
+            )
+        done(self, request, module)
+
+    monkeypatch.setattr(Cluster, "on_module_done", spied)
     return seen
 
 
@@ -189,3 +241,74 @@ def test_block_mode_timeout_drop():
     assert all(r.drop_reason is DropReason.TIMEOUT for r in dropped)
     assert all(r.tokens_out > 0 for r in dropped)
     assert_clean(result.cluster)
+
+
+def two_branch_dag() -> Scenario:
+    """``m0`` forks every request to two LLM branches, ``g1`` and ``g2``,
+    that decode it side by side; ``m3`` joins them.  ``g2``'s 450-token
+    cache rejects a long sequence outright, and both hops time out."""
+    plain = {"base": 0.002, "per_item": 0.0005, "max_batch": 8}
+    return Scenario.from_dict({
+        "app": {
+            "slo": 6.0,
+            "modules": [
+                {"id": "m0", "model": "alpha", "subs": ["g1", "g2"]},
+                {"id": "g1", "model": "gen1", "pres": ["m0"], "subs": ["m3"]},
+                {"id": "g2", "model": "gen2", "pres": ["m0"], "subs": ["m3"]},
+                {"id": "m3", "model": "beta", "pres": ["g1", "g2"]},
+            ],
+            "profiles": [
+                {"name": "alpha", **plain},
+                {"name": "beta", **plain},
+                {**GEN, "name": "gen1", "preempt": False},
+                {**GEN, "name": "gen2", "preempt": False, "kv_capacity": 450,
+                 "output_dist": {"kind": "lognormal", "mean": 60,
+                                 "sigma": 0.6}},
+            ],
+        },
+        "resilience": {
+            "g1": {"timeout": 1.5, "on_timeout": "drop"},
+            "g2": {"timeout": 1.2, "on_timeout": "drop"},
+        },
+        "trace": {"name": "poisson", "duration": 20, "base_rate": 20},
+        "workers": 2,
+        "policy": "PARD",
+        "seed": 3,
+    })
+
+
+def test_two_llm_branches(decoding_drops, streamed_at_once):
+    result = run_scenario(two_branch_dag())
+    assert digest([result.collector]) == (
+        "3e8baa954910fc24ba843a46ec5e12a18bf75b0bb628300a9cef4e8ce127df72"
+    )
+    assert result.cluster.sim.processed_events == 32012
+    records = result.collector.records
+    assert len(records) == 359
+    completed = [r for r in records if r.status is RequestStatus.COMPLETED]
+    assert len(completed) == 327
+    # Every completed request streamed tokens from both branches, and
+    # some finished at one branch while the other still decoded them.
+    for r in completed:
+        assert {v.module_id for v in r.visits} == {"m0", "g1", "g2", "m3"}
+    assert {"g1", "g2"} <= {pair[0] for pair in streamed_at_once}
+    drops = Counter(
+        (r.dropped_at_module, r.drop_reason)
+        for r in records if r.status is RequestStatus.DROPPED
+    )
+    assert drops == {
+        ("g2", DropReason.ADMISSION_CONTROL): 16,
+        ("g2", DropReason.TIMEOUT): 15,
+        ("g1", DropReason.TIMEOUT): 1,
+    }
+    # Every timeout hit a sequence mid-generation, and five of g2's
+    # admission-control rejections hit a request g1 was decoding.
+    assert Counter(decoding_drops) == {
+        ("g2", DropReason.TIMEOUT, "g2"): 15,
+        ("g1", DropReason.TIMEOUT, "g1"): 1,
+        ("g2", DropReason.ADMISSION_CONTROL, "g1"): 5,
+    }
+    for mid in ("g1", "g2"):
+        for worker in result.cluster.modules[mid].workers:
+            assert worker.kv_used == 0 and worker.idle
+            assert worker._reserved == worker._generated == {}
