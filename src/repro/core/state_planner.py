@@ -157,12 +157,11 @@ class StatePlanner:
             if not estimates:
                 combined = 0.0
             elif self.path_mode == PathMode.PREDICTED:
-                total_w = sum(weights)
-                combined = (
-                    sum(e * w for e, w in zip(estimates, weights)) / total_w
-                    if total_w > 0
-                    else max(estimates)
-                )
+                total_w = weighted = 0.0
+                for e, w in zip(estimates, weights):
+                    total_w += w
+                    weighted += e * w
+                combined = weighted / total_w if total_w > 0 else max(estimates)
             else:
                 combined = max(estimates)
             self._sub_estimates[mid] = combined
@@ -187,9 +186,13 @@ class StatePlanner:
         if not path:
             return 0.0, {"queue": 0.0, "exec": 0.0, "wait": 0.0}
         states = [self._states[mid] for mid in path]
-        sum_q = sum(s.avg_queue_delay for s in states)
+        # Left to right, not sum(): Python 3.12's sum() over floats is
+        # compensated, and these sums are pinned bit for bit.
+        sum_q = sum_d = 0.0
+        for s in states:
+            sum_q += s.avg_queue_delay
+            sum_d += s.duration
         durations = [s.duration for s in states]
-        sum_d = sum(durations)
         if self.wait_mode == WaitMode.LOWER:
             w = 0.0
         elif self.wait_mode == WaitMode.UPPER:

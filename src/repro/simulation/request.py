@@ -146,8 +146,16 @@ class Request:
 
     @property
     def gpu_time(self) -> float:
-        """Total GPU time attributed to this request across all modules."""
-        return sum(v.gpu_time for v in self.visits.values())
+        """Total GPU time attributed to this request across all modules.
+
+        Added left to right in visit order, as an explicit loop: from
+        Python 3.12 on, ``sum()`` over floats is compensated and can give
+        other last bits.
+        """
+        total = 0.0
+        for v in self.visits.values():
+            total += v.gpu_time
+        return total
 
     def visit(self, module_id: str) -> ModuleVisit:
         """The :class:`ModuleVisit` for ``module_id`` (KeyError if absent)."""

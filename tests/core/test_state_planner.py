@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.state_planner import StatePlanner, WaitMode
+from repro.core.state_planner import ModuleState, StatePlanner, WaitMode
+from repro.pipeline.applications import Application
+from repro.pipeline.spec import chain
 from repro.policies.naive import NaivePolicy
 from repro.workload.generators import constant_trace
 from repro.workload.replay import replay
@@ -77,6 +79,23 @@ class TestDagEstimates:
         assert len(details) == 2  # two downstream paths
         for parts in details:
             assert set(parts) == {"queue", "exec", "wait"}
+
+
+    def test_path_sums_add_left_to_right(self, monkeypatch):
+        # 0.1 + 0.2 + 0.3 left to right; Python 3.12's compensated sum()
+        # would give 0.6.
+        app = Application(
+            spec=chain("four", ["alpha", "beta", "gamma", "alpha"]), slo=1.0
+        )
+        planner, _ = bound_planner(app=app, wait_mode=WaitMode.LOWER)
+        states = {
+            mid: ModuleState(mid, q, 1, q, 0.0, 1.0)
+            for mid, q in (("m1", 0.0), ("m2", 0.1), ("m3", 0.2), ("m4", 0.3))
+        }
+        monkeypatch.setattr(planner, "snapshot", lambda now: states)
+        planner.refresh(0.0)
+        [parts] = planner.path_components("m1")
+        assert parts["queue"] == parts["exec"] == 0.6000000000000001
 
 
 class TestRuntimeRefresh:

@@ -114,3 +114,12 @@ def test_gpu_time_sums_across_visits():
     v2 = r.begin_visit("m2", 0.1)
     v2.gpu_time = 0.02
     assert r.gpu_time == pytest.approx(0.03)
+
+
+def test_gpu_time_adds_visits_left_to_right():
+    # 0.1 + 0.2 + 0.3 left to right; Python 3.12's compensated sum()
+    # would give 0.6.
+    r = make_request()
+    for module_id, share in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
+        r.begin_visit(module_id, 0.0).gpu_time = share
+    assert r.gpu_time == 0.6000000000000001
