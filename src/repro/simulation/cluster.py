@@ -21,6 +21,7 @@ from itertools import count
 
 from ..metrics.collector import MetricsCollector
 from ..pipeline.applications import Application
+from ..pipeline.llm_profiles import LLMProfile
 from ..pipeline.profiles import DEFAULT_PROFILES, ProfileRegistry
 from ..interfaces import DropPolicy
 from .batching import plan_batch_sizes
@@ -88,6 +89,12 @@ class RequestFlow:
             mid: len(spec.predecessors(mid)) for mid in spec.module_ids
         }
         self._n_exits = spec.exit_count
+        # Modules whose workers fold decoded tokens into a request late
+        # (see repro.simulation.llm); a drop settles them first.
+        self._llm_modules = tuple(
+            m for m in self.modules.values()
+            if isinstance(m.profile, LLMProfile)
+        )
 
     # -- hop translation ---------------------------------------------------
 
@@ -282,6 +289,9 @@ class RequestFlow:
         """Drop a request at ``module_id`` (idempotent for DAG siblings)."""
         if request.status is _DROPPED:
             return
+        for module in self._llm_modules:
+            for worker in module.workers:
+                worker.before_drop(request)
         request.mark_dropped(module_id, reason, self.sim.now)
         self._forget(request)
         self.metrics.record_request(request)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from ..schema import Int, Num, Opt, Spec, Str, field
 from .cluster import Cluster
+from .llm import LLMWorker
 from .request import RequestStatus
 
 FAULT_KINDS = ("kill", "degrade", "link")
@@ -141,6 +142,8 @@ class FailureInjector:
 
     def _strand(self, worker) -> None:
         """Re-dispatch a failed worker's queued and forming requests."""
+        if isinstance(worker, LLMWorker):
+            worker.settle()  # tokens decoded before the kill stay counted
         module = worker.module
         stranded = worker.queue.drain(self.cluster.sim.now)
         if module._resilience is not None:

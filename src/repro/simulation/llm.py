@@ -58,14 +58,47 @@ decode duration ``_step`` computed when it started the decode batch
 the worker's degrade factor afresh each time, as ``_step`` does (a
 straggler fault can begin or end between two iterations), so records,
 window samples and event order are those of going through ``_step``
-every time.  A decode step copies nothing: ``_finish_step`` walks the
-batch's own request list while every sequence is in flight, and only a
-prefill's sequences pass through the first-token bookkeeping (every
-running sequence has been prefilled before a decode iteration starts).
+every time.
+
+Token accounting.  A prefill emits each sequence's first token on the
+spot.  A decode iteration touches no sequence: it appends its GPU share,
+``(end - start) / producers``, to the worker's share log (an
+``array('d')``), remembers its end time, and compares the log's length
+with the *horizon*: a lower bound on the tokens any running sequence
+still owes, recomputed by each settle and lowered when a prefill or a
+resumed preemption adds a sequence.  Between settles a running
+sequence's GPU time, ``tokens_out`` and ``last_token_at`` lack the
+logged iterations, and ``_generated`` holds its *settled* count.  A
+settle folds the log into every running in-flight sequence (every one
+produced in each logged iteration: the running set only changes through
+``_step``, and a drop settles first), then empties the log and
+recomputes the horizon.  Settles run
+
+* when the log reaches the horizon; sequences then retire in batch order;
+* at the top of ``_step``, before the running set can change;
+* in ``FailureInjector._strand``, before a killed worker's sequences are
+  re-dispatched;
+* in ``RequestFlow.drop``, before a request this worker decodes is marked
+  dropped (``before_drop``).  The drop also makes the end of the
+  iteration then executing count its producers, as every prefill does;
+  a decode iteration without a drop skips that scan.  A drop is the only
+  way a decoding sequence leaves flight: a request cannot complete while
+  one of its hops still decodes it.
+
+The fold is exact.  Each sequence's GPU time takes the logged shares one
+by one in log order (``reduce(add, ...)``), the same IEEE additions in
+the same order as adding each share at its iteration's end.  Token
+counts grow by the log's length.  ``last_token_at`` takes the later of
+its value and the latest logged end, because two LLM branches of one
+DAG can stream the same request and settle in either order.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING
 
 from ..pipeline.llm_profiles import LLMProfile
@@ -78,6 +111,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # Bound once (see .request).
 _IN_FLIGHT = RequestStatus.IN_FLIGHT
 _ADMISSION_CONTROL = DropReason.ADMISSION_CONTROL
+_UNBOUNDED = sys.maxsize  # the horizon with no sequence running
 
 
 class LLMWorker(Worker):
@@ -85,7 +119,8 @@ class LLMWorker(Worker):
 
     __slots__ = (
         "kv_used", "_running", "_reserved", "_generated", "_need_prefill",
-        "_token_rng", "_decode_duration",
+        "_token_rng", "_decode_duration", "_shares", "_last_end", "_horizon",
+        "_dropped",
     )
 
     def __init__(self, module: "Module", worker_id: int) -> None:
@@ -98,10 +133,19 @@ class LLMWorker(Worker):
         self.kv_used = 0
         self._running: list[Request] = []  # admitted, KV-resident sequences
         self._reserved: dict[int, int] = {}  # rid -> reserved cache tokens
-        self._generated: dict[int, int] = {}  # rid -> output tokens produced
+        self._generated: dict[int, int] = {}  # rid -> settled output tokens
         self._need_prefill: list[Request] = []  # admitted but not yet prefilled
         # Undegraded duration of the executing decode batch (set by _step).
         self._decode_duration = 0.0
+        # The share log: each decode iteration since the last settle, as
+        # its per-sequence GPU share, plus the end of the latest one.  The
+        # horizon is a lower bound on the tokens any running sequence
+        # still owes, counted from the last settle.
+        self._shares = array("d")
+        self._last_end = 0.0
+        self._horizon = _UNBOUNDED
+        # A decoded sequence may have been dropped since the last _purge.
+        self._dropped = False
         # The module's named token-length stream, shared by its workers.
         self._token_rng = module.cluster.rng.stream(f"llm:{module.spec.id}")
 
@@ -135,8 +179,16 @@ class LLMWorker(Worker):
     def _release(self, rid: int) -> None:
         self.kv_used -= self._reserved.pop(rid, 0)
 
+    def before_drop(self, request: Request) -> None:
+        """Settle before ``request`` is marked dropped, if this worker has
+        decoded tokens for it (its flow calls this on every LLM worker)."""
+        if request.rid in self._generated:
+            self.settle()
+            self._dropped = True  # the iteration's end counts its producers
+
     def _purge(self) -> None:
         """Evict sequences a sibling branch already dropped (free their KV)."""
+        self._dropped = False
         running = self._running
         for r in running:
             if r.status is not _IN_FLIGHT:
@@ -249,6 +301,9 @@ class LLMWorker(Worker):
                     continue
                 stats.batch_waits.record(now, 0.0)
                 self._need_prefill.append(request)
+            elif visit.output_tokens - generated < self._horizon:
+                # A resumed preemption decodes without a prefill.
+                self._horizon = visit.output_tokens - generated
             self.kv_used += need
             self._reserved[request.rid] = need
             running.append(request)
@@ -268,10 +323,48 @@ class LLMWorker(Worker):
             self._reserved[r.rid] += 1
         self.kv_used += len(running)
 
+    def settle(self, exhausted: list[Request] | None = None) -> None:
+        """Fold the share log into every running in-flight sequence.
+
+        Each sequence's GPU time takes the logged shares in log order, and
+        its settled and streamed token counts grow by the log's length
+        (see the module docstring).  Empties the log and recomputes the
+        horizon.  Sequences now at their last token go to ``exhausted``
+        in batch order; only a settle at the horizon finds any.
+        """
+        shares = self._shares
+        n = len(shares)
+        if not n:
+            return
+        log = shares.tolist()  # boxed once, not once per sequence
+        module_id = self.module.spec.id
+        generated_by = self._generated
+        last = self._last_end
+        horizon = _UNBOUNDED
+        for request in self._running:
+            if request.status is not _IN_FLIGHT:
+                continue
+            visit = request.visits[module_id]
+            visit.gpu_time = reduce(add, log, visit.gpu_time)
+            rid = request.rid
+            generated = generated_by[rid] + n
+            generated_by[rid] = generated
+            request.tokens_out += n
+            if request.last_token_at < last:
+                request.last_token_at = last
+            left = visit.output_tokens - generated
+            if left <= 0:
+                exhausted.append(request)
+            elif left < horizon:
+                horizon = left
+        del shares[:]
+        self._horizon = horizon
+
     def _step(self) -> None:
         """Run one continuous-batching engine iteration."""
         if self.executing is not None:
             return
+        self.settle()
         now = self.sim.now
         self._purge()
         running = self._running
@@ -316,45 +409,58 @@ class LLMWorker(Worker):
             return  # the worker died mid-iteration (failure injection)
         now = self.sim.now
         module = self.module
-        module_id = module.spec.id
         source = prefill_seqs if prefill_seqs is not None else batch.requests
         producers = source
-        for r in source:
-            if r.status is not _IN_FLIGHT:
-                producers = [r for r in source if r.status is _IN_FLIGHT]
-                break
+        if prefill_seqs is not None or self._dropped:
+            for r in source:
+                if r.status is not _IN_FLIGHT:
+                    producers = [r for r in source if r.status is _IN_FLIGHT]
+                    break
         retired: list[Request] = []
-        if producers:
-            if prefill_seqs is not None:
-                # Only a prefill emits first tokens; a decode iteration's
-                # sequences all went through one already.
-                start, size = batch.start, batch.size
-                for request in producers:
-                    visit = request.visits[module_id]
-                    if visit.t_exec_start is None:
-                        visit.t_exec_start = start
-                        visit.batch_size = size
-                    if request.first_token_at is None:
-                        request.first_token_at = now
-            share = (batch.end - batch.start) / len(producers)
+        if producers and prefill_seqs is None:
+            # A decode iteration only logs its share: no sequence owes
+            # fewer tokens than the horizon, so none retires before.
+            shares = self._shares
+            shares.append((batch.end - batch.start) / len(producers))
+            self._last_end = now
+            if len(shares) >= self._horizon:
+                self.settle(retired)
+        elif producers:
+            # A prefill emits its sequences' first tokens on the spot; the
+            # share log only ever holds decode iterations.
+            module_id = module.spec.id
+            start, size = batch.start, batch.size
+            share = (batch.end - start) / len(producers)
             generated_by = self._generated
+            horizon = self._horizon
             for request in producers:
                 visit = request.visits[module_id]
+                if visit.t_exec_start is None:
+                    visit.t_exec_start = start
+                    visit.batch_size = size
+                if request.first_token_at is None:
+                    request.first_token_at = now
                 visit.gpu_time += share
                 rid = request.rid
                 generated = generated_by.get(rid, 0) + 1
                 generated_by[rid] = generated
                 request.last_token_at = now
                 request.tokens_out += 1
-                if generated >= visit.output_tokens:
-                    # Last token: free the KV reservation and retire.
-                    visit.t_exec_end = now
-                    self._release(rid)
-                    del generated_by[rid]
-                    self._running.remove(request)
-                    self.load -= 1
-                    self.telemetry.executed_requests += 1
+                left = visit.output_tokens - generated
+                if left <= 0:
                     retired.append(request)
+                elif left < horizon:
+                    horizon = left
+            self._horizon = horizon
+        for request in retired:
+            # Last token: free the KV reservation and retire.
+            request.visits[module.spec.id].t_exec_end = now
+            rid = request.rid
+            self._release(rid)
+            del self._generated[rid]
+            self._running.remove(request)
+            self.load -= 1
+            self.telemetry.executed_requests += 1
         if prefill_seqs is None and not retired and producers is source:
             # A quiet decode iteration (see the module docstring): continue
             # in place when _step would only start the same decode again.

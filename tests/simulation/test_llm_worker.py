@@ -9,6 +9,8 @@ worker ends with ``kv_used == 0`` and no leftover per-request state.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.metrics.collector import MetricsCollector
@@ -21,7 +23,7 @@ from repro.simulation.cluster import Cluster
 from repro.simulation.engine import Simulator
 from repro.simulation.failures import FailureEvent, FailureInjector
 from repro.simulation.llm import LLMWorker
-from repro.simulation.request import DropReason, RequestStatus
+from repro.simulation.request import DropReason, ModuleVisit, RequestStatus
 from repro.simulation.rng import RngStreams
 from repro.simulation.worker import Worker
 
@@ -398,3 +400,34 @@ class TestFaultsBetweenIterations:
         # Generation restarts on the replacement worker.
         assert all(r.tokens_out > self.TOKENS for r in records)
         assert_clean(cluster)
+
+
+def test_quiet_decode_iterations_touch_no_sequence(monkeypatch):
+    """Six sequences decode 400 tokens side by side on one worker.  A
+    decode iteration that retires nothing only logs its share, so each
+    sequence's GPU time is written a constant number of times (built,
+    prefilled, settled once), where per-token accounting wrote it once
+    per token: 2,400 times for the decode alone."""
+    tokens = 400
+    writes: Counter[int] = Counter()
+    slot = ModuleVisit.gpu_time
+
+    class CountingSlot:
+        def __get__(self, visit, owner=None):
+            return slot.__get__(visit, owner)
+
+        def __set__(self, visit, value):
+            writes[id(visit)] += 1
+            slot.__set__(visit, value)
+
+    monkeypatch.setattr(ModuleVisit, "gpu_time", CountingSlot())
+    cluster = llm_cluster(llm_profile(
+        max_batch=8, output_dist=TokenDist(kind="constant", mean=float(tokens)),
+    ))
+    submit_and_run(cluster, 6, gap=0.0)
+    records = cluster.metrics.records
+    assert [r.tokens_out for r in records] == [tokens] * 6
+    assert cluster.modules["m1"].workers[0].telemetry.batches > tokens
+    assert len(writes) == 6
+    assert max(writes.values()) <= 3
+    assert_clean(cluster)
