@@ -13,6 +13,11 @@ of thousands with ``m1`` flipping to HBF and back, the same overload
 on a FIFO queue (arrival order drops stale requests sooner, so it holds
 hundreds), and a shared pool where two tenants' SLOs put most pushes
 out of deadline order.
+
+Two more cases pin the paths a request queued at its entry module can
+take before any worker draws it, each by record digest and processed
+events: hedges, timeouts with retry and a worker kill at ``m1`` under
+PARD's deep backlog, and PARD-oc rejecting requests at admission.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from repro.experiments.runner import run_multi_scenario, run_scenario
 from repro.experiments.scenario import MultiScenario, Scenario
 from repro.interfaces import FifoQueue
 from repro.metrics.collector import RequestRecord
+from repro.simulation.failures import FailureInjector
+from repro.simulation.module import Module
+from repro.simulation.request import DropReason
 
 
 def constant(rate: float) -> dict:
@@ -36,6 +44,14 @@ def constant(rate: float) -> dict:
 #: 2,500 req/s for 4 s on 2 workers: ``m1`` backs up by thousands.
 OVERLOAD = {"app": {"name": "tm"}, "policy": "PARD", "workers": 2,
             "trace": constant(2500)}
+#: The overload on 3 workers with every ``m1`` rescue armed: a hedge after
+#: 50 ms, a 0.4 s timeout with one retry, and one worker killed at 2 s.
+ENTRY_RESILIENCE = {
+    **OVERLOAD, "workers": 3,
+    "resilience": {"m1": {"timeout": 0.4, "on_timeout": "retry",
+                          "retry": {"max": 1, "base": 0.05}, "hedge": 0.05}},
+    "failures": [{"time": 2.0, "module_id": "m1", "downtime": 0.5}],
+}
 #: Two tenants on 4 workers per pool, one with ten times the other's SLO.
 TWO_SLOS = {"workers": 4, "tenants": [
     {"scenario": {"name": "tight", "app": {"name": "tm"}, "policy": "PARD",
@@ -76,6 +92,27 @@ def pushes(monkeypatch) -> list[tuple[int, bool]]:
         push(self, request, now)
 
     monkeypatch.setattr(DeadlineDepqQueue, "push", observed)
+    return seen
+
+
+@pytest.fixture
+def strands(monkeypatch) -> list[tuple[int, int]]:
+    """(queued, re-dispatched) for every worker a kill strands."""
+    seen: list[tuple[int, int]] = []
+    dispatched = [0]
+    strand, dispatch = FailureInjector._strand, Module.dispatch
+
+    def counted_dispatch(self, request) -> None:
+        dispatched[0] += 1
+        dispatch(self, request)
+
+    def observed(self, worker) -> None:
+        queued, before = len(worker.queue), dispatched[0]
+        strand(self, worker)
+        seen.append((queued, dispatched[0] - before))
+
+    monkeypatch.setattr(Module, "dispatch", counted_dispatch)
+    monkeypatch.setattr(FailureInjector, "_strand", observed)
     return seen
 
 
@@ -134,3 +171,34 @@ def test_two_slo_tenants_out_of_order_pinned(pushes):
             "d84b58f4c1eb9732767de73dbeab5dfcb0f7dbe8f6d3a32f3770992a08bcd9bf",
         ),
     )
+
+
+def _run_pinned(result, expected: tuple) -> None:
+    records = result.collector.records
+    assert (len(records), result.cluster.sim.processed_events) == expected[:2]
+    assert digest(records) == expected[2]
+
+
+def test_entry_resilience_and_kill_pinned(strands):
+    result = run_scenario(Scenario.from_dict(ENTRY_RESILIENCE))
+    metrics = result.cluster.metrics
+    assert metrics.res_hedges > 1000 and metrics.res_retries > 1000
+    # The killed worker's queue held thousands of entry requests, and
+    # those no other worker had claimed went back through dispatch.
+    [(queued, redispatched)] = strands
+    assert queued > 1000 and redispatched > 1000
+    _run_pinned(result, (
+        10000, 42397,
+        "19882ad38cedc6c374169af42eb215a0f69cc5715cfe8b8014ecc4dd6bfb62f6",
+    ))
+
+
+def test_admission_control_drops_pinned():
+    result = run_scenario(Scenario.from_dict({**OVERLOAD, "policy": "PARD-oc"}))
+    rejected = sum(r.drop_reason is DropReason.ADMISSION_CONTROL
+                   for r in result.collector.records)
+    assert rejected > 1000
+    _run_pinned(result, (
+        10000, 10163,
+        "9617f5bf71f4c99f63553b0ea8ec98f71d1c4ae2959e31805f8ce3f64de0d5a0",
+    ))
