@@ -157,11 +157,14 @@ class LLMWorker(Worker):
         Drawn from the cluster's named RNG stream in dispatch order, so
         lengths are deterministic for a given scenario seed and sticky
         across failure re-dispatch (0 is the not-sampled sentinel; draws
-        are clamped >= 1).
+        are clamped >= 1).  An entry request's visit opens here, with
+        t_r = t_s (see :meth:`Module.receive`).
         """
         module = self.module
-        visit = request.visits[module.spec.id]
-        if visit.prompt_tokens:
+        visit = request.visits.get(module.spec.id)
+        if visit is None:
+            visit = request.begin_visit(module.spec.id, request.sent_at)
+        elif visit.prompt_tokens:
             return
         profile = module.profile
         rng = self._token_rng

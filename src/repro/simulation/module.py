@@ -199,11 +199,19 @@ class Module:
     # -- request flow -------------------------------------------------------
 
     def receive(self, request: Request) -> None:
-        """Accept a request arriving at this module (step 4 in Figure 4)."""
+        """Accept a request arriving at this module (step 4 in Figure 4).
+
+        A downstream hop opens the request's visit here, at t_r.  The
+        entry hop, the only one a request reaches with no visit yet, does
+        not: the request arrives inside its send event, so t_r = t_s, and
+        the worker that takes it opens the visit then.  A backlog queued
+        at the entry thus holds no visit objects.
+        """
         if request.status is not _IN_FLIGHT:
             return  # dropped in transit (DAG sibling with network delay)
         now = self.sim.now
-        request.begin_visit(self.spec.id, now)
+        if request.visits:
+            request.begin_visit(self.spec.id, now)
         self.stats.arrivals.record(now)
         if self._admit_hook is not None:
             reason = self._admit_hook(request, self, now)

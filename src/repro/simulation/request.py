@@ -8,6 +8,14 @@ A request's life at one module follows Figure 5 of the paper::
 
 which decomposes the module latency into queueing delay ``Q = t_b - t_r``,
 batch wait ``W = t_e - t_b`` and execution duration ``D = t_end - t_e``.
+
+Each hop's timestamps live in a :class:`ModuleVisit`.  A downstream hop
+opens its visit at t_r, on arrival.  The entry hop leaves it to the
+worker that takes the request: a batch worker opens it at t_b, when it
+draws the request, and an LLM worker at enqueue, when it samples the
+request's token lengths.  Either sets t_r = t_s, since a request reaches
+its entry inside its send event.  Until then a request queued at its
+entry holds an empty ``visits`` dict, which the cyclic GC does not track.
 """
 
 from __future__ import annotations

@@ -21,7 +21,10 @@ request: the first worker to draw an entry claims the hop by stamping
 ``visit.t_batched``, and every other entry is lazily skipped at draw
 time — the same tombstone discipline the event heap uses for cancelled
 events, so a request still terminates exactly once.  Watchdog and hedge
-timers are plain heap events that no-op when they fire stale.
+timers are plain heap events that no-op when they fire stale.  A request
+queued at the pipeline entry has no visit there until a worker draws it
+(see :meth:`Module.receive`), so a missing visit reads as queued and not
+yet claimed.
 
 Fallback targets execute the *origin's* visit on their own workers and
 must therefore be branches the request will not otherwise visit (e.g. a
@@ -163,7 +166,7 @@ class ResilienceManager:
         if request.status is not RequestStatus.IN_FLIGHT:
             return
         visit = request.visits.get(module.spec.id)
-        if visit is None or visit.t_batched is not None:
+        if visit is not None and visit.t_batched is not None:
             return  # already claimed by a worker: the hedge is moot
         if len(module.candidates(request)) < 2:
             return  # no second machine dispatch may hedge onto
@@ -179,10 +182,10 @@ class ResilienceManager:
             return
         mid = module.spec.id
         visit = request.visits.get(mid)
-        if visit is None or visit.t_exec_end is not None:
+        if visit is not None and visit.t_exec_end is not None:
             return  # the hop completed in time
         hop = self.hops[mid]
-        if visit.t_batched is not None:
+        if visit is not None and visit.t_batched is not None:
             # Claimed: forming or executing somewhere.  Duplication cannot
             # help (the claim would make the duplicate a no-op), so the
             # only meaningful action is a kill.
@@ -222,7 +225,7 @@ class ResilienceManager:
             return
         mid = module.spec.id
         visit = request.visits.get(mid)
-        if visit is None or visit.t_batched is not None:
+        if visit is not None and visit.t_batched is not None:
             return  # claimed during the backoff window
         hop = self.hops[mid]
         if module.n_workers == 0:

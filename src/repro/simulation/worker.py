@@ -162,8 +162,8 @@ class Worker:
         ctx.now = now
         # Resilient hops dispatch duplicate entries (retries/hedges); the
         # first worker to draw one claims the hop via t_batched and every
-        # other copy is a tombstone to skip.  Hoisted: modules without a
-        # resilience config never pay the per-request visit lookup.
+        # other copy is a tombstone to skip.  An entry request has no
+        # visit until a worker draws it, so a missing visit is unclaimed.
         resilient = module._resilience is not None
         while len(forming) < target:
             if first is not None:
@@ -179,7 +179,8 @@ class Worker:
                 self.load -= 1
                 self.telemetry.skipped_cancelled += 1
                 continue
-            if resilient and request.visits[module_id].t_batched is not None:
+            visit = request.visits.get(module_id)
+            if resilient and visit is not None and visit.t_batched is not None:
                 # A duplicate dispatch lost the race: another worker (or a
                 # fallback) already claimed this hop.
                 self.load -= 1
@@ -195,7 +196,8 @@ class Worker:
             # different SLOs through the same pool.
             ctx.slo = request.slo
             reason = should_drop(ctx)
-            visit = request.visits[module_id]
+            if visit is None:  # a queued entry request: t_r = t_s
+                visit = request.begin_visit(module_id, request.sent_at)
             visit.t_batched = now
             visit.worker_id = self.worker_id
             record_queue_delay(now, now - visit.t_received)
