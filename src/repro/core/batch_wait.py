@@ -118,7 +118,12 @@ def aggregated_wait_quantile_uniform(
     if any(d < 0 for d in durations):
         raise ValueError("durations must be >= 0")
     n = len(durations)
-    total = sum(durations)
+    # Sums left to right, as explicit loops: from Python 3.12 on, sum()
+    # over floats is compensated and can give other last bits.
+    total = squares = 0.0
+    for d in durations:
+        total += d
+        squares += d * d
     if total == 0:
         return 0.0
     d_equal = total / n
@@ -126,7 +131,7 @@ def aggregated_wait_quantile_uniform(
         return d_equal * irwin_hall_quantile(lam, n)
     # Moment-matched Irwin-Hall: match mean and variance of the true sum.
     mean = total / 2
-    var = sum(d * d for d in durations) / 12.0
+    var = squares / 12.0
     # An Irwin-Hall(m) scaled by s has mean s*m/2 and var s^2*m/12.
     m = max(1, round((mean * mean * 4) / (12.0 * var)))
     s = mean * 2 / m
@@ -173,7 +178,10 @@ class BatchWaitEstimator:
         if self.lam == 0.0:
             return 0.0
         if self.lam == 1.0:
-            return float(sum(durations))
+            total = 0.0
+            for d in durations:  # left to right, as in the uniform model
+                total += d
+            return float(total)
         total = np.zeros(self.samples)
         for i, d in enumerate(durations):
             obs = observed[i] if observed is not None else None

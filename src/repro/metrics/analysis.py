@@ -80,8 +80,12 @@ def _summarize_records(
     good = sum(1 for r in records if r.met_slo)
     completed = sum(1 for r in records if r.status is RequestStatus.COMPLETED)
     dropped = sum(1 for r in records if r.counts_as_dropped)
-    total_gpu = sum(r.gpu_time for r in records)
-    wasted_gpu = sum(r.wasted_gpu_time for r in records)
+    # Left to right, as explicit loops: from Python 3.12 on, sum() over
+    # floats is compensated and can give other last bits.
+    total_gpu = wasted_gpu = 0.0
+    for r in records:
+        total_gpu += r.gpu_time
+        wasted_gpu += r.wasted_gpu_time
     if duration is None:
         first = min(r.sent_at for r in records)
         last = max(r.sent_at for r in records)
@@ -322,11 +326,13 @@ def latency_component_cdf(
         raise ValueError(
             f"unknown component {component!r}; expected one of {sorted(pick)}"
         ) from None
-    totals = [
-        sum(fn(v) for v in r.visits)
-        for r in collector.records
-        if r.visits
-    ]
+    totals = []
+    for r in collector.records:
+        if r.visits:
+            total = 0.0
+            for v in r.visits:  # left to right (see _summarize_records)
+                total += fn(v)
+            totals.append(total)
     if not totals:
         return np.array([]), np.array([])
     xs = np.sort(np.asarray(totals))

@@ -128,6 +128,12 @@ class TestAggregatedQuantile:
         with pytest.raises(ValueError):
             aggregated_wait_quantile_uniform([-0.1], 0.5)
 
+    def test_sums_left_to_right(self):
+        # The moments add 0.1, 0.2 and 0.3 left to right; Python 3.12's
+        # compensated sum() would give 0.2999999999912688.
+        q = aggregated_wait_quantile_uniform([0.1, 0.2, 0.3], 0.5)
+        assert q == 0.2999999999912689
+
     @settings(max_examples=50)
     @given(
         st.lists(st.floats(min_value=0.001, max_value=1.0), min_size=1, max_size=6),
@@ -168,6 +174,12 @@ class TestBatchWaitEstimator:
     def test_lambda_one_is_upper_bound(self):
         est = BatchWaitEstimator(lam=1.0)
         assert est.estimate([0.1, 0.2]) == pytest.approx(0.3)
+
+    def test_lambda_one_sums_left_to_right(self):
+        # 0.1 + 0.2 + 0.3 left to right; Python 3.12's compensated sum()
+        # would give 0.6.
+        est = BatchWaitEstimator(lam=1.0)
+        assert est.estimate([0.1, 0.2, 0.3]) == 0.6000000000000001
 
     def test_default_matches_irwin_hall(self):
         est = BatchWaitEstimator(lam=0.1, samples=50_000, seed=1)

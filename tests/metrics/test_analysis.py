@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.metrics.analysis import (
+    _summarize_records,
     consumed_budget_per_module,
     dispatch_amplification,
     drop_rate_at_min_goodput,
@@ -254,3 +255,14 @@ class TestComponentCdf:
     def test_unknown_component_rejected(self):
         with pytest.raises(ValueError):
             latency_component_cdf(MetricsCollector(), "nope")
+
+
+def test_record_scan_adds_gpu_time_left_to_right():
+    # GPU times 0.1 + 0.2 + 0.3 left to right; Python 3.12's compensated
+    # sum() would give 0.6, and an invalid rate of exactly 0.5.
+    collector = MetricsCollector()
+    for gpu, latency in ((0.1, 0.1), (0.2, 0.1), (0.3, 2.0)):
+        collector.record_request(completed(0.0, latency, gpu=gpu))
+    summary = _summarize_records(collector.records, 1.0)
+    assert summary.dropped == 1
+    assert summary.invalid_rate == 0.3 / 0.6000000000000001
