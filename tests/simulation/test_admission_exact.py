@@ -18,11 +18,18 @@ Two more cases pin the paths a request queued at its entry module can
 take before any worker draws it, each by record digest and processed
 events: hedges, timeouts with retry and a worker kill at ``m1`` under
 PARD's deep backlog, and PARD-oc rejecting requests at admission.
+
+The last case pins the end of an overloaded trace: once arrivals stop,
+each worker's first HBF draw finds even its latest deadline hopeless and
+drops every request queued behind it at one instant.  It is pinned by
+record digest and processed events, and its lean :class:`Summary` too,
+since the lean collector keeps no record to hash.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from collections.abc import Iterable
 
 import pytest
@@ -31,14 +38,15 @@ from repro.core.priority import DeadlineDepqQueue
 from repro.experiments.runner import run_multi_scenario, run_scenario
 from repro.experiments.scenario import MultiScenario, Scenario
 from repro.interfaces import FifoQueue
+from repro.metrics.analysis import Summary
 from repro.metrics.collector import RequestRecord
 from repro.simulation.failures import FailureInjector
 from repro.simulation.module import Module
-from repro.simulation.request import DropReason
+from repro.simulation.request import DropReason, RequestStatus
 
 
-def constant(rate: float) -> dict:
-    return {"name": "constant", "duration": 4, "base_rate": rate}
+def constant(rate: float, duration: float = 4) -> dict:
+    return {"name": "constant", "duration": duration, "base_rate": rate}
 
 
 #: 2,500 req/s for 4 s on 2 workers: ``m1`` backs up by thousands.
@@ -52,6 +60,9 @@ ENTRY_RESILIENCE = {
                           "retry": {"max": 1, "base": 0.05}, "hedge": 0.05}},
     "failures": [{"time": 2.0, "module_id": "m1", "downtime": 0.5}],
 }
+#: The overload cut to 2 s, so the backlog is still thousands deep when
+#: arrivals stop.
+MASS_DROP = {**OVERLOAD, "trace": constant(2500, duration=2)}
 #: Two tenants on 4 workers per pool, one with ten times the other's SLO.
 TWO_SLOS = {"workers": 4, "tenants": [
     {"scenario": {"name": "tight", "app": {"name": "tm"}, "policy": "PARD",
@@ -202,3 +213,24 @@ def test_admission_control_drops_pinned():
         10000, 10163,
         "9617f5bf71f4c99f63553b0ea8ec98f71d1c4ae2959e31805f8ce3f64de0d5a0",
     ))
+
+
+def test_end_of_trace_mass_drop_pinned():
+    spec = Scenario.from_dict(MASS_DROP)
+    result = run_scenario(spec)
+    drops = Counter(r.finished_at for r in result.collector.records
+                    if r.status is RequestStatus.DROPPED)
+    assert sum(drops.values()) == 4677
+    # One HBF draw empties a worker's queue: 1,326 drops at 2.167 s when
+    # pinned.
+    [(_, shared)] = drops.most_common(1)
+    assert shared >= 1000
+    _run_pinned(result, (
+        5000, 5299,
+        "a53531b4c9e38a0e874884dadb3e45326e61e3190ba352be4ad5cbc1a8d52838",
+    ))
+    assert run_scenario(spec, lean=True).summary == Summary(
+        total=5000, completed=323, good=266, dropped=4734, drop_rate=0.9468,
+        invalid_rate=0.17221562574210342, goodput=133.0,
+        mean_goodput_normalized=0.0532,
+    )
