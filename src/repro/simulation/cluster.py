@@ -297,10 +297,13 @@ class RequestFlow:
         self.metrics.record_request(request)
 
     def _forget(self, request: Request) -> None:
-        self._join_arrived.pop(request.rid, None)
-        self._join_expected.pop(request.rid, None)
-        self._exit_expected.pop(request.rid, None)
-        if self._fallback_origin is not None:
+        # Chains without fallbacks never hold token state: nothing to pop.
+        if self._join_arrived or self._join_expected or self._exit_expected:
+            rid = request.rid
+            self._join_arrived.pop(rid, None)
+            self._join_expected.pop(rid, None)
+            self._exit_expected.pop(rid, None)
+        if self._fallback_origin:
             self._fallback_origin.pop(request.rid, None)
 
     def branch_probability(self, module_id: str, successor: str) -> float:

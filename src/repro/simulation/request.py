@@ -12,10 +12,15 @@ batch wait ``W = t_e - t_b`` and execution duration ``D = t_end - t_e``.
 Each hop's timestamps live in a :class:`ModuleVisit`.  A downstream hop
 opens its visit at t_r, on arrival.  The entry hop leaves it to the
 worker that takes the request: a batch worker opens it at t_b, when it
-draws the request, and an LLM worker at enqueue, when it samples the
-request's token lengths.  Either sets t_r = t_s, since a request reaches
-its entry inside its send event.  Until then a request queued at its
-entry holds an empty ``visits`` dict, which the cyclic GC does not track.
+draws the request and keeps it, and an LLM worker at enqueue, when it
+samples the request's token lengths.  Either sets t_r = t_s, since a
+request reaches its entry inside its send event.  A request a batch
+worker drops at its entry draw never opens a visit.
+
+Until its first visit a request's ``visits`` is one empty dict that every
+such request shares, and which the cyclic GC does not track; the first
+:meth:`Request.begin_visit` gives the request a dict of its own.  So a
+request queued at its entry, or dropped there, owns no dict at all.
 """
 
 from __future__ import annotations
@@ -51,6 +56,11 @@ class DropReason(enum.Enum):
 _IN_FLIGHT = RequestStatus.IN_FLIGHT
 _COMPLETED = RequestStatus.COMPLETED
 _DROPPED = RequestStatus.DROPPED
+
+
+#: The ``visits`` of every request before its first visit.  Only
+#: :meth:`Request.begin_visit` writes visits, and it never writes here.
+_NO_VISITS: dict[str, ModuleVisit] = {}
 
 
 @dataclass(slots=True)
@@ -116,7 +126,7 @@ class Request:
     app: str = ""  # owning application (set by multi-tenant clusters)
     status: RequestStatus = RequestStatus.IN_FLIGHT
     finished_at: float | None = None
-    visits: dict[str, ModuleVisit] = field(default_factory=dict)
+    visits: dict[str, ModuleVisit] = field(default_factory=lambda: _NO_VISITS)
     dropped_at_module: str | None = None
     drop_reason: DropReason | None = None
     # Client-observed token stream (token-level modules only).  first_
@@ -170,13 +180,21 @@ class Request:
         return self.visits[module_id]
 
     def begin_visit(self, module_id: str, now: float) -> ModuleVisit:
-        """Record arrival at a module and return the fresh visit record."""
-        if module_id in self.visits:
+        """Record arrival at a module and return the fresh visit record.
+
+        The only writer of ``visits``: the first visit replaces the shared
+        empty dict with the request's own, so the shared one stays empty.
+        """
+        visits = self.visits
+        if module_id in visits:
             raise ValueError(
                 f"request {self.rid} already visited module {module_id!r}"
             )
         v = ModuleVisit(module_id=module_id, t_received=now)
-        self.visits[module_id] = v
+        if visits is _NO_VISITS:
+            self.visits = {module_id: v}
+        else:
+            visits[module_id] = v
         return v
 
     def mark_dropped(self, module_id: str, reason: DropReason, now: float) -> None:

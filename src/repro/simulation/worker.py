@@ -145,6 +145,11 @@ class Worker:
         size as the forming capacity.  ``first``, when given, is a request
         that never entered the queue (see :meth:`enqueue`); it is decided
         before anything is popped.
+
+        An entry request has no visit yet, and its t_r is its t_s: the draw
+        opens its visit only if the policy keeps it, and a drop records the
+        queueing delay from t_s without one.  A visit already open is
+        stamped with t_b and the worker either way.
         """
         now = self.sim.now
         module = self.module
@@ -196,11 +201,16 @@ class Worker:
             # different SLOs through the same pool.
             ctx.slo = request.slo
             reason = should_drop(ctx)
-            if visit is None:  # a queued entry request: t_r = t_s
-                visit = request.begin_visit(module_id, request.sent_at)
-            visit.t_batched = now
-            visit.worker_id = self.worker_id
-            record_queue_delay(now, now - visit.t_received)
+            if visit is None:  # an entry request: t_r = t_s
+                t_r = request.sent_at
+                if reason is None:
+                    visit = request.begin_visit(module_id, t_r)
+            else:
+                t_r = visit.t_received
+            if visit is not None:
+                visit.t_batched = now
+                visit.worker_id = self.worker_id
+            record_queue_delay(now, now - t_r)
             if reason is not None:
                 self.load -= 1
                 self.telemetry.dropped_requests += 1

@@ -24,10 +24,15 @@ each worker's first HBF draw finds even its latest deadline hopeless and
 drops every request queued behind it at one instant.  It is pinned by
 record digest and processed events, and its lean :class:`Summary` too,
 since the lean collector keeps no record to hash.
+
+Every run ends settled (:func:`assert_settled`): its flows hold no
+token state, and no request wrote the empty visits dict that requests
+share until their first visit.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from collections import Counter
 from collections.abc import Iterable
@@ -41,6 +46,7 @@ from repro.interfaces import FifoQueue
 from repro.metrics.analysis import Summary
 from repro.metrics.collector import RequestRecord
 from repro.simulation.failures import FailureInjector
+from repro.simulation import request as request_module
 from repro.simulation.module import Module
 from repro.simulation.request import DropReason, RequestStatus
 
@@ -83,6 +89,26 @@ def digest(records: Iterable[RequestRecord]) -> str:
 
 def sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def assert_settled(result):
+    """Check that ``result``'s run left nothing behind, and return it.
+
+    Every request is terminal once a run drains, so every flow has
+    forgotten its token state: join and exit counts, fallback origins and
+    severed links.  The empty visits dict that requests share until their
+    first visit is still empty, and still untracked by the cyclic GC.
+    """
+    cluster = result.cluster
+    for flow in getattr(cluster, "views", {"": cluster}).values():
+        assert not flow._join_arrived
+        assert not flow._join_expected
+        assert not flow._exit_expected
+        assert not flow._fallback_origin  # None or empty
+        assert not flow._severed
+    shared = request_module._NO_VISITS
+    assert shared == {} and not gc.is_tracked(shared)
+    return result
 
 
 @pytest.fixture
@@ -136,7 +162,7 @@ def _pinned(records, transitions, expected: tuple) -> None:
 
 
 def test_deep_backlog_with_mode_flips_pinned(pushes):
-    result = run_scenario(Scenario.from_dict(OVERLOAD))
+    result = assert_settled(run_scenario(Scenario.from_dict(OVERLOAD)))
     transitions = result.cluster.policy.priority.transitions
     assert [(t.time, t.mode) for t in transitions if t.module_id == "m1"] == [
         (1.0, "hbf"), (9.0, "lbf")]
@@ -157,8 +183,8 @@ def test_fifo_backlog_pinned(monkeypatch, pushes):
         push(self, request, now)
 
     monkeypatch.setattr(FifoQueue, "push", observed)
-    result = run_scenario(
-        Scenario.from_dict({**OVERLOAD, "policy": "PARD-FCFS"}))
+    result = assert_settled(run_scenario(
+        Scenario.from_dict({**OVERLOAD, "policy": "PARD-FCFS"})))
     assert not pushes and max(lengths) > 250
     _pinned(result.collector.records,
             result.cluster.policy.priority.transitions, (
@@ -169,7 +195,8 @@ def test_fifo_backlog_pinned(monkeypatch, pushes):
 
 
 def test_two_slo_tenants_out_of_order_pinned(pushes):
-    result = run_multi_scenario(MultiScenario.from_dict(TWO_SLOS))
+    result = assert_settled(
+        run_multi_scenario(MultiScenario.from_dict(TWO_SLOS)))
     out_of_order = sum(b for _, b in pushes)
     assert out_of_order > len(pushes) / 3  # 4,758 of 9,972 when pinned
     tenants = result.cluster.tenants
@@ -191,7 +218,7 @@ def _run_pinned(result, expected: tuple) -> None:
 
 
 def test_entry_resilience_and_kill_pinned(strands):
-    result = run_scenario(Scenario.from_dict(ENTRY_RESILIENCE))
+    result = assert_settled(run_scenario(Scenario.from_dict(ENTRY_RESILIENCE)))
     metrics = result.cluster.metrics
     assert metrics.res_hedges > 1000 and metrics.res_retries > 1000
     # The killed worker's queue held thousands of entry requests, and
@@ -205,7 +232,8 @@ def test_entry_resilience_and_kill_pinned(strands):
 
 
 def test_admission_control_drops_pinned():
-    result = run_scenario(Scenario.from_dict({**OVERLOAD, "policy": "PARD-oc"}))
+    result = assert_settled(
+        run_scenario(Scenario.from_dict({**OVERLOAD, "policy": "PARD-oc"})))
     rejected = sum(r.drop_reason is DropReason.ADMISSION_CONTROL
                    for r in result.collector.records)
     assert rejected > 1000
@@ -217,7 +245,7 @@ def test_admission_control_drops_pinned():
 
 def test_end_of_trace_mass_drop_pinned():
     spec = Scenario.from_dict(MASS_DROP)
-    result = run_scenario(spec)
+    result = assert_settled(run_scenario(spec))
     drops = Counter(r.finished_at for r in result.collector.records
                     if r.status is RequestStatus.DROPPED)
     assert sum(drops.values()) == 4677
@@ -229,7 +257,7 @@ def test_end_of_trace_mass_drop_pinned():
         5000, 5299,
         "a53531b4c9e38a0e874884dadb3e45326e61e3190ba352be4ad5cbc1a8d52838",
     ))
-    assert run_scenario(spec, lean=True).summary == Summary(
+    assert assert_settled(run_scenario(spec, lean=True)).summary == Summary(
         total=5000, completed=323, good=266, dropped=4734, drop_rate=0.9468,
         invalid_rate=0.17221562574210342, goodput=133.0,
         mean_goodput_normalized=0.0532,

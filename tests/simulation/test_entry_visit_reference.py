@@ -3,11 +3,13 @@
 A request reaches its pipeline entry inside its send event, so its t_r
 there is its t_s, and :meth:`Module.receive` leaves the entry visit to
 the worker that takes the request: the batch worker opens it when it
-draws the request, the LLM worker when it samples the request's token
-lengths.  :func:`receive_on_arrival` is the receive that opens every
-visit on arrival instead.  On every generated spec both must give the
-same record ``repr`` for every request (rids rebased), process the same
-number of events and log the same faults.
+draws the request and keeps it, the LLM worker when it samples the
+request's token lengths.  :func:`receive_on_arrival` is the receive that
+opens every visit on arrival instead.  On every generated spec both must
+give the same record ``repr`` for every request (rids rebased), process
+the same number of events, log the same faults and record the same
+statistics-window samples in the same order, and every run must end
+settled (:func:`~.test_admission_exact.assert_settled`).
 
 The specs are the ``tm`` and ``lv`` chains and the ``da`` DAG under PARD,
 PARD-oc, Naive, Nexus and Clipper++, with resilience on the entry hop and
@@ -16,10 +18,14 @@ schemas (:mod:`tests.spec_strategies`).  Fixed examples reach every path
 a request queued at its entry can take before a worker draws it: hedges,
 timeouts with retry and with drop, a kill that strands the queue, and
 PARD-oc's admission drops, an LLM entry whose only worker dies; one
-runs two tenants on a shared entry pool.
+runs two tenants on a shared entry pool, and one ends its trace with
+each worker's draw dropping its whole queue.
 
 A tracemalloc guard holds a request queued at the entry to its queue
-slot: no visit, and a visits dict the cyclic GC does not track.
+slot: no visit, and a visits dict the cyclic GC does not track.  Another
+holds a new request to its own slots: until its first visit it shares
+one empty visits dict with every other such request.  A request PARD
+drops at its entry draw ends with no visit at all.
 """
 
 from __future__ import annotations
@@ -35,12 +41,15 @@ from hypothesis import strategies as st
 from repro.experiments.runner import build_cluster, run_multi_scenario, run_scenario
 from repro.experiments.scenario import AppSpec, MultiScenario, Scenario, TraceSpec
 from repro.policies.spec import PolicySpec
+from repro.simulation.cluster import RequestFlow
 from repro.simulation.failures import FailureEvent
 from repro.simulation.module import Module
 from repro.simulation.request import Request, RequestStatus
 from repro.simulation.resilience import HopResilience
+from repro.simulation.stats import WindowedSamples
 
 from ..spec_strategies import instances
+from .test_admission_exact import MASS_DROP, assert_settled, sha
 from .test_llm_exact import digest
 from .test_llm_reference import COSTS
 
@@ -100,14 +109,30 @@ def entry_specs(draw) -> Scenario:
 
 
 def outcome(spec: Scenario | MultiScenario) -> tuple:
-    if isinstance(spec, MultiScenario):
-        result = run_multi_scenario(spec)
-        collectors = list(result.collectors.values())
-    else:
-        result = run_scenario(spec)
-        collectors = [result.collector]
+    """What the two receives must agree on: the record digest, processed
+    events and fault log, and every statistics-window sample in record
+    order (windows numbered by first sample), which the records alone
+    would not show for a request dropped before it executed."""
+    samples: list[tuple[WindowedSamples, float, float]] = []
+    record = WindowedSamples.record
+
+    def logged(self, t: float, value: float) -> None:
+        samples.append((self, t, value))
+        record(self, t, value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WindowedSamples, "record", logged)
+        if isinstance(spec, MultiScenario):
+            result = assert_settled(run_multi_scenario(spec))
+            collectors = list(result.collectors.values())
+        else:
+            result = assert_settled(run_scenario(spec))
+            collectors = [result.collector]
+    windows: dict[int, int] = {}
+    samples_sha = sha([(windows.setdefault(id(w), len(windows)), t, value)
+                       for w, t, value in samples])
     return (digest(collectors), result.cluster.sim.processed_events,
-            result.fault_records)
+            result.fault_records, samples_sha)
 
 
 def constant(rate: float, duration: float = 2.0) -> dict:
@@ -199,6 +224,7 @@ def reference():
 @example(spec=ADMISSION)
 @example(spec=LLM_OUTAGE)
 @example(spec=SHARED_ENTRY)
+@example(spec=Scenario.from_dict(MASS_DROP))
 def test_draw_time_entry_visits_match_arrival_visits(reference, spec):
     assert outcome(spec) == reference(spec)
 
@@ -235,3 +261,42 @@ def test_queued_entry_requests_hold_no_visit():
     assert len(worker.queue) >= len(requests)
     assert all(r.visits == {} and not gc.is_tracked(r.visits) for r in requests)
     assert grown <= 64 * len(requests), grown / len(requests)
+
+
+def test_new_requests_own_no_visits_dict():
+    """A request that has not visited a module yet costs its own slots and
+    rid, ~169 B with its list slot: it shares one empty visits dict with
+    every other such request, where a dict of its own would add 64 B."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        requests = [Request(sent_at=0.0, slo=1.0) for _ in range(20_000)]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert grown <= 200 * len(requests), grown / len(requests)
+
+
+def test_entry_drops_open_no_visit(monkeypatch):
+    """PARD decides an entry request when a worker draws it, and a request
+    it drops there never opens a visit.  A request dropped downstream
+    keeps the visit it opened on arrival, stamped with its draw."""
+    dropped: list[tuple[Request, str]] = []
+    drop = RequestFlow.drop
+
+    def observed(self, request, module_id, reason) -> None:
+        dropped.append((request, module_id))
+        drop(self, request, module_id, reason)
+
+    monkeypatch.setattr(RequestFlow, "drop", observed)
+    result = run_scenario(Scenario.from_dict(MASS_DROP))
+    entry = [r for r, mid in dropped if mid == "m1"]
+    downstream = [(r, mid) for r, mid in dropped if mid != "m1"]
+    assert len(entry) > 1000 and downstream
+    assert all(r.visits == {} for r in entry)
+    assert all(r.visits[mid].t_batched is not None for r, mid in downstream)
+    assert_settled(result)
