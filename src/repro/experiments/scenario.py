@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import AbstractSet, Any, Iterable, Mapping, Sequence
@@ -480,6 +481,22 @@ class Scenario(Spec):
                 raise ValueError(
                     f"failure event at t={event.time} falls outside the "
                     f"trace duration {self.trace.duration}"
+                )
+        for mid, hop in self.resilience:
+            # While a kill leaves the module no worker, every parked
+            # request's watchdog re-arms each ``timeout``.  Scaling never
+            # removes the last worker, so outages end by the last kill's
+            # recovery; a timeout of at least the clock's resolution there
+            # moves the clock on every re-arm before it.
+            end = max((e.time + e.downtime for e in self.failures
+                       if e.kind == "kill" and e.module_id == mid),
+                      default=None)
+            if (end is not None and hop.timeout is not None
+                    and hop.timeout < math.ulp(end)):
+                raise ValueError(
+                    f"resilience {mid} timeout {hop.timeout!r} is below the "
+                    f"clock's resolution {math.ulp(end)!r} at t={end}, when "
+                    f"{mid}'s last kill recovers"
                 )
         if self.failures or self.resilience or isinstance(self.workers, dict):
             module_ids = self._known_module_ids()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 from dataclasses import replace
 
@@ -632,6 +633,53 @@ class TestResilienceSpec:
                     ("m1", {"timeout": 0.3}),
                 ),
             )
+
+    @staticmethod
+    def outage(timeout: float, failures=None) -> dict:
+        """``m1``'s only worker killed at t = 0 for 10 s, with a retrying
+        ``timeout``: every arrival parks, and its watchdog re-arms each
+        ``timeout`` until the worker recovers."""
+        return {
+            "app": {"name": "tm"}, "policy": "Naive", "workers": 1,
+            "trace": {"name": "poisson", "duration": 1, "base_rate": 30},
+            "drain": 1.0,
+            "failures": failures or [
+                {"time": 0.0, "module_id": "m1", "downtime": 10.0}],
+            "resilience": {"m1": {"timeout": timeout, "on_timeout": "retry"}},
+        }
+
+    def test_timeout_the_clock_cannot_resolve_refused(self):
+        # 10.0 + 5e-324 == 10.0: each re-arm would leave the clock where
+        # it is, so the outage would never end.
+        with pytest.raises(ValueError) as info:
+            Scenario.from_dict(self.outage(5e-324))
+        message = str(info.value)
+        assert message.startswith("resilience m1 timeout 5e-324 ")
+        assert "\n" not in message
+
+    def test_timeout_bound_is_the_resolution_where_the_last_outage_ends(self):
+        bound = math.ulp(10.0)
+        Scenario.from_dict(self.outage(bound))
+        with pytest.raises(ValueError, match="resilience m1 timeout"):
+            Scenario.from_dict(self.outage(math.nextafter(bound, 0.0)))
+        # The latest recovery sets the bound; degrade faults and kills
+        # of other modules set none.
+        kills = [{"time": 0.0, "module_id": "m1", "downtime": 1.0},
+                 {"time": 0.5, "module_id": "m1", "downtime": 100.0}]
+        assert math.ulp(1.0) < 1e-15 < math.ulp(100.5)
+        with pytest.raises(ValueError, match="resilience m1 timeout"):
+            Scenario.from_dict(self.outage(1e-15, kills))
+        Scenario.from_dict(self.outage(1e-15, kills[:1]))
+        Scenario.from_dict(self.outage(5e-324, [
+            {"time": 0.0, "module_id": "m1", "kind": "degrade",
+             "downtime": 10.0},
+            {"time": 0.0, "module_id": "m2", "downtime": 10.0}]))
+
+    def test_timeout_the_clock_resolves_runs(self):
+        result = run_scenario(Scenario.from_dict(self.outage(0.001)))
+        assert [(f.time, f.kind) for f in result.fault_records] == [
+            (0.0, "fail"), (10.0, "recover")]
+        assert result.collector.count == result.collector.submitted > 0
 
 
 class TestResolution:
