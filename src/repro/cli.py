@@ -188,7 +188,10 @@ def _run_cells(cells, args: argparse.Namespace) -> int:
             status = {"cached": "cached", "done": "done", "error": "ERROR"}[event.kind]
             # Sharded runs report each cell by its global grid position.
             shown = indices[event.index] if indices is not None else event.index
-            print(f"[{shown + 1}/{grid_total}] {event.cell.label()}: "
+            label = event.cell.label()
+            if event.cell.multi is not None:
+                label += f" ({event.cell.policy})"  # not in a shared label
+            print(f"[{shown + 1}/{grid_total}] {label}: "
                   f"{status} ({event.elapsed:.1f}s)", file=sys.stderr)
 
     if getattr(args, "lean", False):

@@ -684,24 +684,27 @@ def summary_table(results: Sequence[CellResult]) -> TableData:
 
     It carries each cell's status and elapsed time, so it is for the
     console only: ``--save-summaries`` writes :func:`summaries_text`.
-    Shared-cluster cells get one ``- app`` row per tenant under the
-    aggregate; a failed cell shows ``ERROR`` (its error goes to stderr).
+    The ``policy`` column tells apart shared-cluster cells, whose label
+    leaves the policy out.  Shared-cluster cells get one ``- app`` row
+    per tenant under the aggregate; a failed cell shows ``ERROR`` (its
+    error goes to stderr).
     """
     rows = []
     for r in results:
+        cell = (r.cell.label(), r.policy_name)
         if not r.ok or r.summary is None:
-            rows.append((r.cell.label(), "ERROR", None, None, None, r.elapsed))
+            rows.append((*cell, "ERROR", None, None, None, r.elapsed))
             continue
         s = r.summary
-        rows.append((r.cell.label(), "cached" if r.cached else "ok",
+        rows.append((*cell, "cached" if r.cached else "ok",
                      s.goodput, s.drop_rate, s.invalid_rate, r.elapsed))
         for app, a in (r.per_app or {}).items():
-            rows.append((f"- {app}", "app", a.goodput, a.drop_rate,
+            rows.append((f"- {app}", None, "app", a.goodput, a.drop_rate,
                          a.invalid_rate, None))
     return TableData(
         name="sweep",
-        columns=("cell", "status", "goodput", "drop_rate", "invalid_rate",
-                 "elapsed_s"),
+        columns=("cell", "policy", "status", "goodput", "drop_rate",
+                 "invalid_rate", "elapsed_s"),
         rows=tuple(rows),
-        formats=(None, None, ".1f", ".2%", ".2%", ".1f"),
+        formats=(None, None, None, ".1f", ".2%", ".2%", ".1f"),
     )

@@ -275,8 +275,9 @@ class TestEventsAndTable:
         results = run_sweep(tiny_cells(policies=("Naive", "NoSuchPolicy")),
                             workers=1)
         table = summary_table(results)
-        assert [row[:2] for row in table.rows] == [
-            ("tm-tweet-Naive-s0", "ok"), ("tm-tweet-NoSuchPolicy-s0", "ERROR"),
+        assert [row[:3] for row in table.rows] == [
+            ("tm-tweet-Naive-s0", "Naive", "ok"),
+            ("tm-tweet-NoSuchPolicy-s0", "NoSuchPolicy", "ERROR"),
         ]
         text = render_console([table])
         assert "tm-tweet-Naive-s0" in text and "ERROR" in text

@@ -310,6 +310,29 @@ class TestMultiScenarioCommands:
         assert "shared-tm-lv" in out
         assert "monitor" in out and "live" in out
 
+    def test_shared_cluster_sweep_rows_name_their_policy(self, capsys):
+        """A shared-cluster label leaves out the policy, so the sweep table's
+        policy column and the progress line tell its cells apart."""
+        from pathlib import Path
+
+        example = (Path(__file__).resolve().parent.parent
+                   / "examples" / "scenarios" / "shared_cluster.json")
+        rc = main(["scenario", "sweep", "--file", str(example), "--policies",
+                   "PARD,Naive", "--workers", "1", "--no-cache"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        rows = [line.split() for line in captured.out.splitlines()
+                if line.split()[:1] == ["shared-tm-lv-s0"]]
+        assert [row[:3] for row in rows] == [
+            ["shared-tm-lv-s0", "PARD", "ok"],
+            ["shared-tm-lv-s0", "Naive", "ok"],
+        ]
+        assert rows[0] != rows[1]
+        progress = [line.split(":")[0] for line in captured.err.splitlines()
+                    if "shared-tm-lv-s0" in line]
+        assert progress == ["[1/2] shared-tm-lv-s0 (PARD)",
+                            "[2/2] shared-tm-lv-s0 (Naive)"]
+
 
 SWEEP_FILE = {
     "name": "cli-axes",
