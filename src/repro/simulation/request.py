@@ -58,8 +58,8 @@ _COMPLETED = RequestStatus.COMPLETED
 _DROPPED = RequestStatus.DROPPED
 
 
-#: The ``visits`` of every request before its first visit.  Only
-#: :meth:`Request.begin_visit` writes visits, and it never writes here.
+#: The ``visits`` every request shares before its first visit; never
+#: written (see :meth:`Request.begin_visit`).
 _NO_VISITS: dict[str, ModuleVisit] = {}
 
 

@@ -201,16 +201,14 @@ class Worker:
             # different SLOs through the same pool.
             ctx.slo = request.slo
             reason = should_drop(ctx)
-            if visit is None:  # an entry request: t_r = t_s
-                t_r = request.sent_at
-                if reason is None:
-                    visit = request.begin_visit(module_id, t_r)
+            if visit is None and reason is None:  # a kept entry request
+                visit = request.begin_visit(module_id, request.sent_at)
+            if visit is None:  # an entry request dropped here: t_r = t_s
+                record_queue_delay(now, now - request.sent_at)
             else:
-                t_r = visit.t_received
-            if visit is not None:
                 visit.t_batched = now
                 visit.worker_id = self.worker_id
-            record_queue_delay(now, now - t_r)
+                record_queue_delay(now, now - visit.t_received)
             if reason is not None:
                 self.load -= 1
                 self.telemetry.dropped_requests += 1
