@@ -45,8 +45,8 @@ from repro.experiments.scenario import MultiScenario, Scenario
 from repro.interfaces import FifoQueue
 from repro.metrics.analysis import Summary
 from repro.metrics.collector import RequestRecord
-from repro.simulation.failures import FailureInjector
 from repro.simulation import request as request_module
+from repro.simulation.failures import FailureInjector
 from repro.simulation.module import Module
 from repro.simulation.request import DropReason, RequestStatus
 

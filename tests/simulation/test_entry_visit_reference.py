@@ -265,7 +265,7 @@ def test_queued_entry_requests_hold_no_visit():
 
 def test_new_requests_own_no_visits_dict():
     """A request that has not visited a module yet costs its own slots and
-    rid, ~169 B with its list slot: it shares one empty visits dict with
+    rid, ~164 B with its list slot: it shares one empty visits dict with
     every other such request, where a dict of its own would add 64 B."""
     gc.collect()
     tracing = tracemalloc.is_tracing()
