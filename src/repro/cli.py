@@ -331,11 +331,13 @@ def cmd_study_run(args: argparse.Namespace) -> int:
         raise SystemExit(f"invalid study file {args.file}: {exc}") from None
 
     def progress(event: SweepEvent) -> None:
+        # Numbered as in the sweep's progress line: a study's cells differ
+        # in axes their labels do not carry.
         if not args.quiet and event.kind != "start":
             status = {"cached": "cached", "done": "done",
                       "error": "ERROR"}[event.kind]
-            print(f"{event.cell.label()}: {status} ({event.elapsed:.1f}s)",
-                  file=sys.stderr)
+            print(f"[{event.index + 1}/{event.total}] {event.cell.label()}: "
+                  f"{status} ({event.elapsed:.1f}s)", file=sys.stderr)
 
     cache_dir = None if args.no_cache else args.cache_dir
     try:

@@ -97,16 +97,3 @@ class RequestBroker:
             current_exec=ctx.batch_duration,
             sub=self._sub[ctx.module],
         )
-
-    def estimate_total(self, ctx: DropContext) -> float:
-        """Equation 3's scalar total, without building the decomposition.
-
-        The drop decision only compares the total against the SLO; this
-        runs once per drawn request, so it skips the frozen-dataclass
-        allocation :meth:`estimate` pays.
-        """
-        return (
-            ctx.expected_start - ctx.request.sent_at
-            + ctx.batch_duration
-            + self._sub[ctx.module]
-        )

@@ -15,8 +15,10 @@ Every Table-1 ablation is a configuration of this class (see
 
 from __future__ import annotations
 
-from ..interfaces import DropContext, DropPolicy, FifoQueue, RequestQueue
-from ..simulation.request import DropReason
+from functools import partial
+
+from ..interfaces import DropContext, DropPolicy, DropTest, FifoQueue, RequestQueue
+from ..simulation.request import DropReason, Request
 from .broker import RequestBroker, SubMode
 from .priority import AdaptivePriorityController, DeadlineDepqQueue, PriorityMode
 from .state_planner import PathMode, StatePlanner, WaitMode
@@ -24,6 +26,19 @@ from .state_planner import PathMode, StatePlanner, WaitMode
 # Bound once (see repro.simulation.request).
 _ESTIMATED_VIOLATION = DropReason.ESTIMATED_VIOLATION
 _BUDGET_EXCEEDED = DropReason.BUDGET_EXCEEDED
+
+
+def _late(t_e: float, d: float, sub: float, request: Request) -> bool:
+    """PARD's verdict: Equation 3's estimate ``(t_e - t_s) + d_k + L_sub``
+    exceeds the request's SLO."""
+    return t_e - request.sent_at + d + sub > request.slo
+
+
+def _over_budget(t_e: float, d: float, share: float, request: Request) -> bool:
+    """The split-budget verdict: the *cumulative* elapsed time plus the
+    current module's execution exceeds the SLO share allocated to modules
+    1..k.  It never sees downstream state (the point of the ablation)."""
+    return t_e - request.sent_at + d > request.slo * share
 
 
 class BudgetMode:
@@ -102,21 +117,30 @@ class PardPolicy(DropPolicy):
     # -- dropping decision ------------------------------------------------------
 
     def should_drop(self, ctx: DropContext) -> DropReason | None:
+        t_e, d, request = ctx.expected_start, ctx.batch_duration, ctx.request
         if self.budget_mode == BudgetMode.E2E:
-            if self.broker.estimate_total(ctx) > ctx.slo:
+            if _late(t_e, d, self.broker._sub[ctx.module], request):
                 return _ESTIMATED_VIOLATION
             return None
-        # Split-budget variants compare the *cumulative* elapsed time plus
-        # the current module's execution against the budget allocated to
-        # modules 1..k — they never see downstream state (the point of the
-        # ablation).
         assert self.cluster is not None
-        budget = self._cumulative_budget(
-            self.cluster.hop_id(ctx.module), ctx.slo
-        )
-        if ctx.elapsed + ctx.batch_duration > budget:
+        share = self._cum_shares[self.cluster.hop_id(ctx.module)]
+        if _over_budget(t_e, d, share, request):
             return _BUDGET_EXCEEDED
         return None
+
+    def drop_test(self, ctx: DropContext) -> DropTest:
+        """:meth:`should_drop`'s expression with this draw's inputs bound.
+
+        Every input but the request is fixed for the whole draw: no drop
+        can end the executing batch (t_e), d_k is cached at ``now``, and
+        L_sub and the budget shares change only on sync ticks.
+        """
+        t_e, d = ctx.expected_start, ctx.batch_duration
+        if self.budget_mode == BudgetMode.E2E:
+            return partial(_late, t_e, d, self.broker._sub[ctx.module])
+        assert self.cluster is not None
+        share = self._cum_shares[self.cluster.hop_id(ctx.module)]
+        return partial(_over_budget, t_e, d, share)
 
     # -- split-budget ablations ---------------------------------------------------
 

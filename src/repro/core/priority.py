@@ -29,11 +29,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..interfaces import RequestQueue
-from ..simulation.request import Request
+from ..interfaces import DropTest, RequestQueue
+from ..simulation.request import Request, RequestStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..simulation.module import Module
+
+_IN_FLIGHT = RequestStatus.IN_FLIGHT  # bound once (see repro.simulation.request)
 
 
 class PriorityMode:
@@ -188,6 +190,13 @@ class DeadlineDepqQueue(RequestQueue):
     finds the queue empty clears both.  The FCFS ablation uses a plain
     FIFO queue instead (the policy's ``make_queue`` handles that), so
     modes never mix here.
+
+    :meth:`pop_run` reads the mode once and scans from the end ``pop``
+    would read: from the tail under HBF, from the head under LBF.  It
+    stops at the first request that is not in flight or that the drop
+    test keeps, and cuts the run off both columns in one slice; under LBF
+    that advances ``head``, and the ``_COMPACT`` rule applies as after a
+    pop.
     """
 
     __slots__ = ("_module_id", "_controller", "_keys", "_run", "_head")
@@ -233,6 +242,35 @@ class DeadlineDepqQueue(RequestQueue):
             head = 0
         self._head = head
         return request
+
+    def pop_run(self, now: float, drops: DropTest) -> list[Request]:
+        run = self._run
+        head = self._head
+        if self._controller.current(self._module_id) == PriorityMode.HBF:
+            i = len(run)
+            while i > head:
+                request = run[i - 1]
+                if request.status is not _IN_FLIGHT or not drops(request):
+                    break
+                i -= 1
+            out = run[i:]
+            out.reverse()  # pop order: latest deadline first
+            del self._keys[i:]
+            del run[i:]
+            return out
+        i, n = head, len(run)
+        while i < n:
+            request = run[i]
+            if request.status is not _IN_FLIGHT or not drops(request):
+                break
+            i += 1
+        out = run[head:i]
+        if i > self._COMPACT and 2 * i > n:
+            del self._keys[:i]
+            del run[:i]
+            i = 0
+        self._head = i
+        return out
 
     def __len__(self) -> int:
         return len(self._run) - self._head

@@ -13,9 +13,19 @@ simulator:
 * :meth:`DropPolicy.on_admit` — consulted when a request enters a module
   (used by overload-control style policies such as PARD-oc).
 
+A drop decided at ``t_b`` often has a hopeless run behind it: once a
+backlog's next request is past saving, so is every request the queue
+would hand out after it.  So once ``should_drop`` drops a request, the
+worker asks :meth:`DropPolicy.drop_test` for a test valid for the rest of
+that draw, and :meth:`RequestQueue.pop_run` pops the run of queued
+requests the test drops, in one pass.  A policy whose verdict reads
+anything a drop changes returns no test, and its worker keeps deciding
+one request at a time.
+
 A queue only stores requests: ``pop`` hands back every request it was
-given and never drops one itself, since drop decisions belong to
-``should_drop``.  The owning worker counts its outstanding load where a
+given and never drops one itself, since drop decisions belong to the
+policy; ``pop_run`` pops the run the policy's test accepts and decides
+nothing either.  The owning worker counts its outstanding load where a
 request enters or leaves it, so requests must reach a worker's queue
 through ``Worker.enqueue``, never by pushing into the queue directly.
 """
@@ -25,13 +35,16 @@ from __future__ import annotations
 import abc
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .simulation.cluster import Cluster
     from .simulation.module import Module
     from .simulation.request import DropReason, Request
     from .simulation.worker import Worker
+
+#: A drop test: True for a request the current draw would drop.
+DropTest = Callable[["Request"], bool]
 
 
 @dataclass(slots=True)
@@ -69,6 +82,16 @@ class RequestQueue(abc.ABC):
     def pop(self, now: float) -> Request | None:
         """Remove and return the next request to decide on, or None."""
 
+    def pop_run(self, now: float, drops: DropTest) -> list[Request]:
+        """Remove and return the run of requests ``drops`` accepts.
+
+        The run is the longest one of in-flight requests, in pop order,
+        that starts with the request the next :meth:`pop` would return and
+        that ``drops`` accepts; a request that is not in flight ends it.
+        The default pops nothing.
+        """
+        return []
+
     @abc.abstractmethod
     def __len__(self) -> int:
         """Number of queued requests."""
@@ -94,6 +117,16 @@ class FifoQueue(RequestQueue):
 
     def pop(self, now: float) -> Request | None:
         return self._dq.popleft() if self._dq else None
+
+    def pop_run(self, now: float, drops: DropTest) -> list[Request]:
+        dq = self._dq
+        n = 0
+        for request in dq:
+            if request.status is not _IN_FLIGHT or not drops(request):
+                break
+            n += 1
+        popleft = dq.popleft
+        return [popleft() for _ in range(n)]
 
     def __len__(self) -> int:
         return len(self._dq)
@@ -127,9 +160,26 @@ class DropPolicy(abc.ABC):
     def should_drop(self, ctx: DropContext) -> DropReason | None:
         """Decide at ``t_b`` whether ``ctx.request`` should be dropped."""
 
+    def drop_test(self, ctx: DropContext) -> DropTest | None:
+        """A test that gives ``should_drop``'s verdict for the rest of a draw.
+
+        Asked right after ``should_drop`` dropped ``ctx.request``.  The
+        test takes another request the same worker would draw at the same
+        ``t_b`` and returns True exactly when ``should_drop`` would drop it
+        for the same reason, after every drop before it.  The default
+        offers none, so each request is decided on its own.
+        """
+        return None
+
     def on_tick(self, now: float) -> None:
         """Periodic state-synchronisation hook (default: nothing)."""
 
     def describe(self) -> str:
         """One-line description for experiment reports."""
         return self.name
+
+
+# Imported last: the simulation package imports this module's classes.
+from .simulation.request import RequestStatus  # noqa: E402
+
+_IN_FLIGHT = RequestStatus.IN_FLIGHT  # bound once (see .simulation.request)

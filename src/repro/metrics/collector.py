@@ -17,6 +17,7 @@ per field on each side.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from functools import reduce
 from itertools import compress, islice, repeat
 from operator import add
@@ -238,6 +239,50 @@ class MetricsCollector:
         if self.lean:
             return
         self._records = None
+        self._append(request, status, met_slo, gpu_time)
+
+    def record_drops(self, requests: Sequence[Request]) -> None:
+        """Snapshot dropped ``requests``, in order, in one call.
+
+        Leaves every counter and column as :meth:`record_request` on each
+        would: the GPU-time totals take one request at a time, in order,
+        and the full-mode columns are written by the same code.
+        """
+        gpu_total = self.gpu_time_total
+        wasted = self.wasted_gpu_total
+        first_sent = self.first_sent
+        last_sent = self.last_sent
+        for request in requests:
+            if request.status is not _DROPPED:
+                raise ValueError(f"request {request.rid} is not dropped")
+            # A request that never opened a visit spent no GPU time.
+            gpu_time = request.gpu_time if request.visits else 0.0
+            wasted += gpu_time
+            gpu_total += gpu_time
+            sent_at = request.sent_at
+            if sent_at < first_sent:
+                first_sent = sent_at
+            if sent_at > last_sent:
+                last_sent = sent_at
+        n = len(requests)
+        self.count += n
+        self.dropped_count += n
+        self.gpu_time_total = gpu_total
+        self.wasted_gpu_total = wasted
+        self.first_sent = first_sent
+        self.last_sent = last_sent
+        gp = self.goodput
+        if gp is not None and gp.declared:
+            self.gp_tokens_out += sum(r.tokens_out for r in requests)
+        if self.lean:
+            return
+        self._records = None
+        for request in requests:
+            self._append(request, _DROPPED, False, request.gpu_time)
+
+    def _append(self, request: Request, status: RequestStatus, met_slo: bool,
+                gpu_time: float) -> None:
+        """Write one terminal request's row and its executed visits."""
         codes = self._module_codes
         v_module, v_queueing, v_wait, v_exec, v_gpu, v_batch = self._visit_columns
         visits = 0
@@ -262,7 +307,7 @@ class MetricsCollector:
         first = request.first_token_at
         last = request.last_token_at
         c_rid.append(request.rid)
-        c_sent.append(sent_at)
+        c_sent.append(request.sent_at)
         c_finished.append(request.finished_at)
         c_status.append(_STATUSES.index(status))
         c_met.append(met_slo)

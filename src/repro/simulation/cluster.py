@@ -17,6 +17,7 @@ a data-plane module maps back to a position in the pipeline DAG
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from itertools import count
 
 from ..metrics.collector import MetricsCollector
@@ -282,29 +283,45 @@ class RequestFlow:
                 self._exit_expected[rid] = remaining
                 return
         request.mark_completed(self.sim.now)
-        self._forget(request)
+        self._forget((request,))
         self.metrics.record_request(request)
 
     def drop(self, request: Request, module_id: str, reason: DropReason) -> None:
         """Drop a request at ``module_id`` (idempotent for DAG siblings)."""
-        if request.status is _DROPPED:
-            return
+        if request.status is not _DROPPED:
+            self.drop_run((request,), module_id, reason)
+
+    def drop_run(
+        self, requests: Sequence[Request], module_id: str, reason: DropReason
+    ) -> None:
+        """Drop in-flight ``requests`` at ``module_id`` now, in order.
+
+        Every LLM worker first settles the tokens it decoded for them;
+        then each is marked dropped and its token state forgotten, and the
+        collector records them all in one call.
+        """
         for module in self._llm_modules:
             for worker in module.workers:
-                worker.before_drop(request)
-        request.mark_dropped(module_id, reason, self.sim.now)
-        self._forget(request)
-        self.metrics.record_request(request)
+                for request in requests:
+                    worker.before_drop(request)
+        now = self.sim.now
+        for request in requests:
+            request.mark_dropped(module_id, reason, now)
+        self._forget(requests)
+        self.metrics.record_drops(requests)
 
-    def _forget(self, request: Request) -> None:
+    def _forget(self, requests: Sequence[Request]) -> None:
+        """Discard the token state of terminal ``requests``."""
         # Chains without fallbacks never hold token state: nothing to pop.
         if self._join_arrived or self._join_expected or self._exit_expected:
-            rid = request.rid
-            self._join_arrived.pop(rid, None)
-            self._join_expected.pop(rid, None)
-            self._exit_expected.pop(rid, None)
+            for request in requests:
+                rid = request.rid
+                self._join_arrived.pop(rid, None)
+                self._join_expected.pop(rid, None)
+                self._exit_expected.pop(rid, None)
         if self._fallback_origin:
-            self._fallback_origin.pop(request.rid, None)
+            for request in requests:
+                self._fallback_origin.pop(request.rid, None)
 
     def branch_probability(self, module_id: str, successor: str) -> float:
         """Observed probability that a request at a fork takes ``successor``.

@@ -78,7 +78,7 @@ recomputes the horizon.  Settles run
 * at the top of ``_step``, before the running set can change;
 * in ``FailureInjector._strand``, before a killed worker's sequences are
   re-dispatched;
-* in ``RequestFlow.drop``, before a request this worker decodes is marked
+* in ``RequestFlow.drop_run``, before a request this worker decodes is marked
   dropped (``before_drop``).  The drop also makes the end of the
   iteration then executing count its producers, as every prefill does;
   a decode iteration without a drop skips that scan.  A drop is the only

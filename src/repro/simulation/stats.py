@@ -39,6 +39,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
+from itertools import repeat
 
 import numpy as np
 
@@ -88,6 +89,11 @@ class WindowedSamples:
     def record(self, t: float, value: float) -> None:
         self._t.append(t)
         self._v.append(value)
+
+    def record_many(self, t: float, values: list[float]) -> None:
+        """:meth:`record` each of ``values`` at time ``t``, in order."""
+        self._t.extend(repeat(t, len(values)))
+        self._v.extend(values)
 
     def _fold(self) -> None:
         """Add the samples recorded since the last fold to the sums."""
@@ -250,8 +256,8 @@ class ModuleStats:
         self.batch_sizes.record(t, float(size))
         self.executed += size
 
-    def record_drop(self) -> None:
-        self.drops += 1
+    def record_drop(self, n: int = 1) -> None:
+        self.drops += n
 
     def avg_queue_delay(self, now: float) -> float:
         """Recent average queueing delay q_k (linearly weighted)."""

@@ -382,6 +382,13 @@ class SharedCluster:
     def drop(self, request: Request, module_id: str, reason: DropReason) -> None:
         self._view_of(request).drop(request, module_id, reason)
 
+    def drop_run(
+        self, requests: Sequence[Request], module_id: str, reason: DropReason
+    ) -> None:
+        """Drop each of ``requests`` through its own tenant's view."""
+        for request in requests:
+            self._view_of(request).drop_run((request,), module_id, reason)
+
     def hop_id(self, module: Module) -> str:
         """Pool-level identity (per-tenant translation lives on the views)."""
         return module.spec.id

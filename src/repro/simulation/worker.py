@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..simulation.request import Request, RequestStatus
+from ..simulation.request import DropReason, Request, RequestStatus
 from ..interfaces import DropContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -146,6 +146,14 @@ class Worker:
         that never entered the queue (see :meth:`enqueue`); it is decided
         before anything is popped.
 
+        A request the policy drops rarely drops alone: the draw asks the
+        policy for its drop test and pops, in one pass, the run of queued
+        requests behind it that the test drops too (see
+        :meth:`~repro.interfaces.DropPolicy.drop_test`), then drops them
+        together (:meth:`_drop_run`).  A module with a resilience hop
+        decides one request at a time, since each duplicate dispatch needs
+        its claim check.
+
         An entry request has no visit yet, and its t_r is its t_s: the draw
         opens its visit only if the policy keeps it, and a drop records the
         queueing delay from t_s without one.  A visit already open is
@@ -156,9 +164,10 @@ class Worker:
         target = module.target_batch
         # Hot loop: every request drawn toward a batch passes through here
         # once, so the per-iteration lookups are bound outside the loop.
-        queue_pop = self.queue.pop
+        queue = self.queue
         forming = self.forming
-        should_drop = module.policy.should_drop
+        policy = module.policy
+        should_drop = policy.should_drop
         stats = module.stats
         record_queue_delay = stats.queue_delays.record
         record_batch_wait = stats.batch_waits.record
@@ -174,7 +183,7 @@ class Worker:
             if first is not None:
                 request, first = first, None
             else:
-                request = queue_pop(now)
+                request = queue.pop(now)
                 if request is None:
                     break
             if request.status is not _IN_FLIGHT:
@@ -201,24 +210,52 @@ class Worker:
             # different SLOs through the same pool.
             ctx.slo = request.slo
             reason = should_drop(ctx)
-            if visit is None and reason is None:  # a kept entry request
-                visit = request.begin_visit(module_id, request.sent_at)
-            if visit is None:  # an entry request dropped here: t_r = t_s
-                record_queue_delay(now, now - request.sent_at)
-            else:
-                visit.t_batched = now
-                visit.worker_id = self.worker_id
-                record_queue_delay(now, now - visit.t_received)
             if reason is not None:
-                self.load -= 1
-                self.telemetry.dropped_requests += 1
-                stats.record_drop()
-                module.cluster.drop(request, module_id, reason)
+                run = [request]
+                drops = None if resilient else policy.drop_test(ctx)
+                if drops is not None:
+                    run += queue.pop_run(now, drops)
+                self._drop_run(run, reason)
                 continue
+            if visit is None:  # a kept entry request: t_r = t_s
+                visit = request.begin_visit(module_id, request.sent_at)
+            visit.t_batched = now
+            visit.worker_id = self.worker_id
+            record_queue_delay(now, now - visit.t_received)
             record_batch_wait(now, t_e - now if t_e > now else 0.0)
             forming.append(request)
         if self.executing is None and forming:
             self._start_batch()
+
+    def _drop_run(self, run: list[Request], reason: DropReason) -> None:
+        """Drop ``run``, in-flight requests drawn at this instant, in order.
+
+        Each request's visit, if it has one, is stamped with t_b and the
+        worker, and its queueing delay goes to the module's window; an
+        entry request has no visit, and its t_r is its t_s.  Then the
+        worker's load and counters and the module's drop count change by
+        the run's length, once, and the flow drops the run.
+        """
+        now = self.sim.now
+        module = self.module
+        module_id = module.spec.id
+        worker_id = self.worker_id
+        delays = []
+        for request in run:
+            visit = request.visits.get(module_id)
+            if visit is None:
+                delays.append(now - request.sent_at)
+            else:
+                visit.t_batched = now
+                visit.worker_id = worker_id
+                delays.append(now - visit.t_received)
+        stats = module.stats
+        stats.queue_delays.record_many(now, delays)
+        n = len(run)
+        self.load -= n
+        self.telemetry.dropped_requests += n
+        stats.record_drop(n)
+        module.cluster.drop_run(run, module_id, reason)
 
     def _start_batch(self) -> None:
         """Begin executing the forming batch on the GPU."""

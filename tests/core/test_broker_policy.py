@@ -80,15 +80,19 @@ class TestBrokerEstimate:
     @pytest.mark.parametrize(
         "sub_mode", [SubMode.FULL, SubMode.NONE, SubMode.DURATIONS]
     )
-    def test_estimate_total_matches_decomposed_estimate(self, sub_mode):
-        # estimate_total is the allocation-free drop-path twin of
-        # estimate(); this pin keeps the two formulas from diverging.
+    def test_drop_test_compares_the_decomposed_estimate(self, sub_mode):
+        # The drop path never builds estimate(); this pin keeps its
+        # allocation-free expression from diverging from Equation 3's
+        # total, at the SLO itself too.
         policy, cluster = self.bound(sub_mode=sub_mode,
                                      wait_mode=WaitMode.QUANTILE)
         ctx = make_ctx(cluster, sent_at=0.0, expected_start=0.07)
-        assert policy.broker.estimate_total(ctx) == pytest.approx(
-            policy.broker.estimate(ctx).total, rel=1e-12
-        )
+        total = policy.broker.estimate(ctx).total
+        for slo in (total, total * 0.999, total * 1.001):
+            ctx.request.slo = ctx.slo = slo
+            late = policy.drop_test(ctx)(ctx.request)
+            assert late == (total > slo)
+            assert (policy.should_drop(ctx) is not None) == late
 
 
 class TestPardDropDecision:

@@ -112,16 +112,24 @@ def outcome(spec: Scenario | MultiScenario) -> tuple:
     """What the two receives must agree on: the record digest, processed
     events and fault log, and every statistics-window sample in record
     order (windows numbered by first sample), which the records alone
-    would not show for a request dropped before it executed."""
+    would not show for a request dropped before it executed.  A drawn
+    run of drops records its samples in one ``record_many`` call, logged
+    here sample by sample."""
     samples: list[tuple[WindowedSamples, float, float]] = []
     record = WindowedSamples.record
+    record_many = WindowedSamples.record_many
 
     def logged(self, t: float, value: float) -> None:
         samples.append((self, t, value))
         record(self, t, value)
 
+    def logged_many(self, t: float, values: list[float]) -> None:
+        samples.extend((self, t, value) for value in values)
+        record_many(self, t, values)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(WindowedSamples, "record", logged)
+        mp.setattr(WindowedSamples, "record_many", logged_many)
         if isinstance(spec, MultiScenario):
             result = assert_settled(run_multi_scenario(spec))
             collectors = list(result.collectors.values())
@@ -284,15 +292,17 @@ def test_new_requests_own_no_visits_dict():
 def test_entry_drops_open_no_visit(monkeypatch):
     """PARD decides an entry request when a worker draws it, and a request
     it drops there never opens a visit.  A request dropped downstream
-    keeps the visit it opened on arrival, stamped with its draw."""
+    keeps the visit it opened on arrival, stamped with its draw.  Every
+    drop, alone or in a drawn run, goes through ``RequestFlow.drop_run``
+    (``drop`` is its one-request case), so the spy sits there."""
     dropped: list[tuple[Request, str]] = []
-    drop = RequestFlow.drop
+    drop_run = RequestFlow.drop_run
 
-    def observed(self, request, module_id, reason) -> None:
-        dropped.append((request, module_id))
-        drop(self, request, module_id, reason)
+    def observed(self, requests, module_id, reason) -> None:
+        dropped.extend((request, module_id) for request in requests)
+        drop_run(self, requests, module_id, reason)
 
-    monkeypatch.setattr(RequestFlow, "drop", observed)
+    monkeypatch.setattr(RequestFlow, "drop_run", observed)
     result = run_scenario(Scenario.from_dict(MASS_DROP))
     entry = [r for r, mid in dropped if mid == "m1"]
     downstream = [(r, mid) for r, mid in dropped if mid != "m1"]

@@ -114,18 +114,21 @@ def decoding(cluster: Cluster, request) -> list[str]:
 @pytest.fixture
 def decoding_drops(monkeypatch) -> list[tuple[str, DropReason, str]]:
     """(drop module, reason, decoding module) for each drop that hit a
-    request an LLM worker was running."""
+    request an LLM worker was running.  Every drop, alone or in a drawn
+    run, goes through ``Cluster.drop_run`` (``drop`` is its one-request
+    case), so the spy sits there."""
     seen: list[tuple[str, DropReason, str]] = []
-    drop = Cluster.drop
+    drop_run = Cluster.drop_run
 
-    def spied(self, request, module_id, reason) -> None:
-        if request.status is RequestStatus.IN_FLIGHT:
-            seen.extend(
-                (module_id, reason, mid) for mid in decoding(self, request)
-            )
-        drop(self, request, module_id, reason)
+    def spied(self, requests, module_id, reason) -> None:
+        for request in requests:
+            if request.status is RequestStatus.IN_FLIGHT:
+                seen.extend(
+                    (module_id, reason, mid) for mid in decoding(self, request)
+                )
+        drop_run(self, requests, module_id, reason)
 
-    monkeypatch.setattr(Cluster, "drop", spied)
+    monkeypatch.setattr(Cluster, "drop_run", spied)
     return seen
 
 

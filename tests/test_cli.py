@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -667,6 +668,23 @@ class TestStudyCommand:
             assert ((tmp_path / "a1" / name).read_bytes()
                     == (tmp_path / "a2" / name).read_bytes())
         assert first.out == second.out
+
+    def test_study_progress_lines_can_be_told_apart(self, capsys, tmp_path):
+        """The interference study's eight cells share one label; each
+        progress line is numbered, so no two lines read alike once their
+        elapsed times are stripped."""
+        from pathlib import Path
+
+        example = (Path(__file__).resolve().parent.parent
+                   / "examples" / "studies" / "interference.json")
+        assert main(["study", "run", str(example), "--no-cache",
+                     "--workers", "1",
+                     "--save-artifacts", str(tmp_path / "artifacts")]) == 0
+        lines = [re.sub(r" \([0-9.]+s\)$", "", line)
+                 for line in capsys.readouterr().err.splitlines()
+                 if line.endswith("s)")]
+        assert len(lines) == 8
+        assert len(set(lines)) == 8, lines
 
     def test_missing_study_file_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="study file not found"):

@@ -30,6 +30,8 @@ GUARDED = (
     "simulation/cluster.py",
     "simulation/tenancy.py",
     "core/policy.py",
+    "core/priority.py",
+    "interfaces.py",
     "metrics/collector.py",
 )
 
