@@ -165,6 +165,7 @@ class Worker:
         # Hot loop: every request drawn toward a batch passes through here
         # once, so the per-iteration lookups are bound outside the loop.
         queue = self.queue
+        queue_pop = queue.pop
         forming = self.forming
         policy = module.policy
         should_drop = policy.should_drop
@@ -183,7 +184,7 @@ class Worker:
             if first is not None:
                 request, first = first, None
             else:
-                request = queue.pop(now)
+                request = queue_pop(now)
                 if request is None:
                     break
             if request.status is not _IN_FLIGHT:
