@@ -205,20 +205,26 @@ class MetricsCollector:
         self.submitted += 1
 
     def record_request(self, request: Request) -> None:
-        """Snapshot a request that has reached a terminal state."""
+        """Snapshot a request that has reached a terminal state.
+
+        A dropped request is recorded as a run of one
+        (:meth:`record_drops`); this method records completions, which
+        count as dropped when they miss their SLO (paper §5.1).
+        """
         status = request.status
+        if status is _DROPPED:
+            self.record_drops((request,))
+            return
         if status is _IN_FLIGHT:
             raise ValueError(f"request {request.rid} is still in flight")
         assert request.finished_at is not None
         met_slo = request.met_slo
         gpu_time = request.gpu_time
-        counts_as_dropped = status is _DROPPED or not met_slo
         self.count += 1
-        if status is _COMPLETED:
-            self.completed_count += 1
+        self.completed_count += 1
         if met_slo:
             self.good_count += 1
-        if counts_as_dropped:
+        else:
             self.dropped_count += 1
             self.wasted_gpu_total += gpu_time
         self.gpu_time_total += gpu_time
@@ -230,23 +236,23 @@ class MetricsCollector:
         gp = self.goodput
         if gp is not None and gp.declared:
             self.gp_tokens_out += request.tokens_out
-            if status is _COMPLETED:
-                ttft_ok, tpot_ok, e2e_ok = constraint_checks(gp, request)
-                self.gp_ttft_met += ttft_ok
-                self.gp_tpot_met += tpot_ok
-                self.gp_e2e_met += e2e_ok
-                self.gp_good += ttft_ok and tpot_ok and e2e_ok
+            ttft_ok, tpot_ok, e2e_ok = constraint_checks(gp, request)
+            self.gp_ttft_met += ttft_ok
+            self.gp_tpot_met += tpot_ok
+            self.gp_e2e_met += e2e_ok
+            self.gp_good += ttft_ok and tpot_ok and e2e_ok
         if self.lean:
             return
         self._records = None
-        self._append(request, status, met_slo, gpu_time)
+        self._append(request, _COMPLETED, met_slo, gpu_time)
 
     def record_drops(self, requests: Sequence[Request]) -> None:
         """Snapshot dropped ``requests``, in order, in one call.
 
-        Leaves every counter and column as :meth:`record_request` on each
-        would: the GPU-time totals take one request at a time, in order,
-        and the full-mode columns are written by the same code.
+        Every drop is counted here, a run of one included.  The counters
+        end as if the requests were recorded one at a time: the GPU-time
+        totals take one request at a time, in order, and the full-mode
+        columns are written by the same code as a completion's.
         """
         gpu_total = self.gpu_time_total
         wasted = self.wasted_gpu_total

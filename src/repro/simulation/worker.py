@@ -146,13 +146,15 @@ class Worker:
         that never entered the queue (see :meth:`enqueue`); it is decided
         before anything is popped.
 
-        A request the policy drops rarely drops alone: the draw asks the
-        policy for its drop test and pops, in one pass, the run of queued
-        requests behind it that the test drops too (see
+        When the policy drops a request, the draw asks it for its drop test
+        and pops, in one pass, the run of queued requests behind it that
+        the test drops too (see
         :meth:`~repro.interfaces.DropPolicy.drop_test`), then drops them
-        together (:meth:`_drop_run`).  A module with a resilience hop
-        decides one request at a time, since each duplicate dispatch needs
-        its claim check.
+        together (:meth:`_drop_run`); a single drop is a run of one.  Runs
+        are long where a backlog outlives its SLO, as in an overloaded
+        pipeline once arrivals stop; elsewhere many drops come alone.  A
+        module with a resilience hop decides one request at a time, since
+        each duplicate dispatch needs its claim check.
 
         An entry request has no visit yet, and its t_r is its t_s: the draw
         opens its visit only if the policy keeps it, and a drop records the

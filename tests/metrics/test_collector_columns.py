@@ -5,7 +5,9 @@
 pickle round trip and ``merge_collectors`` to the records a collector
 used to build directly, one ``RequestRecord`` per terminal request; the
 pinned digests hold whole runs to the records they produced before the
-columns existed.
+columns existed.  A second property holds drops recorded in runs
+(``record_drops``) to the counters, goodput counters, columns and
+summaries of recording one terminal request at a time.
 """
 
 from __future__ import annotations
@@ -20,9 +22,15 @@ from hypothesis import strategies as st
 
 from repro.experiments.runner import run_multi_scenario, run_scenario
 from repro.experiments.scenario import Scenario, load_scenario_file
-from repro.metrics.analysis import merge_collectors
+from repro.metrics.analysis import _summarize_records, merge_collectors, summarize
 from repro.metrics.collector import MetricsCollector, RequestRecord, VisitRecord
-from repro.simulation.request import DropReason, Request
+from repro.metrics.goodput import (
+    GoodputSpec,
+    _report_from_records,
+    constraint_checks,
+    goodput_report,
+)
+from repro.simulation.request import DropReason, Request, RequestStatus
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
@@ -169,6 +177,104 @@ def test_record_view_is_read_only():
     with pytest.raises(AttributeError):
         collector.records = []
     assert collector.records == (reference_record(request),)
+
+
+# -- drops recorded in runs ----------------------------------------------------
+
+GOODPUT = GoodputSpec(ttft=2.0, tpot=0.5, e2e=5.0)
+
+
+def reference_counters(requests: list[Request], spec: GoodputSpec) -> tuple:
+    """The streaming and goodput counters of ``requests``, kept one
+    terminal request at a time as before drops were recorded in runs."""
+    count = completed = good = dropped = 0
+    gpu_total = wasted = 0.0
+    first, last = float("inf"), float("-inf")
+    gp_good = ttft_met = tpot_met = e2e_met = tokens_out = 0
+    for r in requests:
+        is_completed = r.status is RequestStatus.COMPLETED
+        count += 1
+        completed += is_completed
+        good += r.met_slo
+        if not is_completed or not r.met_slo:  # paper §5.1
+            dropped += 1
+            wasted += r.gpu_time
+        gpu_total += r.gpu_time
+        first = min(first, r.sent_at)
+        last = max(last, r.sent_at)
+        tokens_out += r.tokens_out
+        if is_completed:
+            ttft_ok, tpot_ok, e2e_ok = constraint_checks(spec, r)
+            ttft_met += ttft_ok
+            tpot_met += tpot_ok
+            e2e_met += e2e_ok
+            gp_good += ttft_ok and tpot_ok and e2e_ok
+    return ((count, completed, good, dropped, gpu_total, wasted, first, last),
+            (gp_good, ttft_met, tpot_met, e2e_met, tokens_out))
+
+
+def _goodput_counters(collector: MetricsCollector) -> tuple:
+    return (collector.gp_good, collector.gp_ttft_met, collector.gp_tpot_met,
+            collector.gp_e2e_met, collector.gp_tokens_out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(terminal_requests(), max_size=16), st.data())
+def test_drop_runs_record_as_one_request_at_a_time(requests, data):
+    """Consecutive drops, cut into runs at random and recorded by
+    ``record_drops``, leave every counter, goodput counter, column and
+    summary as ``record_request`` on each request, and as the per-request
+    counters; the full-mode summaries also match the record scans."""
+    steps: list[list[Request]] = []  # a completion, or a run of drops
+    for r in requests:
+        if (r.status is RequestStatus.DROPPED and steps
+                and steps[-1][-1].status is RequestStatus.DROPPED
+                and data.draw(st.booleans())):
+            steps[-1].append(r)
+        else:
+            steps.append([r])
+    counters, goodput = reference_counters(requests, GOODPUT)
+    expected = [reference_record(r) for r in requests]
+    books = {}
+    for lean in (False, True):
+        one = MetricsCollector(lean=lean, goodput=GOODPUT)
+        runs = MetricsCollector(lean=lean, goodput=GOODPUT)
+        for r in requests:
+            one.record_request(r)
+        for step in steps:
+            if step[0].status is RequestStatus.DROPPED:
+                runs.record_drops(step)
+            else:
+                runs.record_request(step[0])
+        for collector in (one, runs):
+            assert _counters(collector) == counters
+            assert _goodput_counters(collector) == goodput
+        assert runs._request_columns == one._request_columns
+        assert runs._visit_columns == one._visit_columns
+        books[lean] = runs
+    full, lean = books[False], books[True]
+    _assert_same(full.records, expected)
+    assert lean.records == ()
+    for duration in (10.0, None):
+        assert summarize(lean, duration) == summarize(full, duration)
+        assert goodput_report(lean, duration) == goodput_report(full, duration)
+        if requests:
+            assert summarize(full, duration) == _summarize_records(
+                full.records, duration)
+            assert goodput_report(full, duration) == _report_from_records(
+                GOODPUT, full.records, duration)
+
+
+def test_record_drops_refuses_a_request_not_dropped():
+    collector = MetricsCollector()
+    dropped = Request(sent_at=0.0, slo=1.0)
+    dropped.mark_dropped("m1", DropReason.TIMEOUT, 0.5)
+    completed = Request(sent_at=0.0, slo=1.0)
+    completed.mark_completed(0.5)
+    for request in (completed, Request(sent_at=0.0, slo=1.0)):
+        with pytest.raises(ValueError):
+            collector.record_drops([dropped, request])
+    assert collector.count == 0 and collector.records == ()
 
 
 # -- whole runs, pinned at the records they produced before the columns ----
