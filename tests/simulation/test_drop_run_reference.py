@@ -9,7 +9,13 @@ must give the same record ``repr`` for every request (rids rebased),
 the same lean :class:`Summary`, the same processed events and fault
 log, the same statistics-window samples in the same order, and the same
 per-worker telemetry and per-module drop counts; every run must end
-settled (:func:`~.test_admission_exact.assert_settled`).
+settled (:func:`~.test_admission_exact.assert_settled`).  Only the draw
+is the old one: the reference's drops still pass through the flow and
+the collector as runs of one (``RequestFlow.drop`` calls ``drop_run``,
+which calls ``MetricsCollector.record_drops``), so this compares runs of
+many with runs of one.  ``tests/metrics/test_collector_columns.py``
+holds ``record_drops`` to counters, columns and summaries kept one
+request at a time.
 
 The specs are the ``tm`` and ``lv`` chains and the ``da`` DAG under every
 PARD variant whose draw takes runs (HBF, LBF, adaptive and instant
